@@ -37,15 +37,14 @@
 #include <thread>
 #include <vector>
 
-#include "apps/kv_service.h"
+#include "apps/shard_rig.h"
 #include "bench/bench_util.h"
 #include "load/traffic_plane.h"
 #include "trace/stat_registry.h"
 #include "util/thread_pool.h"
 
 using namespace wsp;
-using apps::ShardEnvironment;
-using apps::ShardedKvStore;
+using apps::ShardRig;
 using load::TrafficPlane;
 using load::TrafficPlaneConfig;
 using load::TrafficPlaneReport;
@@ -54,37 +53,6 @@ namespace {
 
 constexpr unsigned kShards = 8;
 constexpr uint64_t kPerShardCapacity = 4096;
-
-/** A fresh sharded store plus the shard environments backing it. */
-struct Rig
-{
-    std::vector<std::unique_ptr<ShardEnvironment>> envs;
-    std::unique_ptr<ShardedKvStore> store;
-
-    Rig(const char *tag, CacheModel::LineStore line_store)
-    {
-        const uint64_t region =
-            ShardedKvStore::regionBytes(kShards, kPerShardCapacity);
-        std::vector<CacheModel *> caches;
-        for (unsigned i = 0; i < kShards; ++i) {
-            envs.push_back(std::make_unique<ShardEnvironment>(
-                std::string("kvtp_") + tag + std::to_string(i), region,
-                line_store));
-            caches.push_back(&envs.back()->cache);
-        }
-        store = std::make_unique<ShardedKvStore>(
-            std::span<CacheModel *const>(caches), 0, kPerShardCapacity);
-    }
-};
-
-bool
-sameResult(const apps::KvBatchResult &a, const apps::KvBatchResult &b)
-{
-    return a.puts == b.puts && a.putsRejected == b.putsRejected &&
-           a.gets == b.gets && a.getHits == b.getHits &&
-           a.getValueSum == b.getValueSum && a.erases == b.erases &&
-           a.erasesHit == b.erasesHit;
-}
 
 } // namespace
 
@@ -147,26 +115,26 @@ main(int argc, char **argv)
     for (unsigned threads : thread_counts) {
         TrafficPlaneConfig config = base;
         config.workers = threads;
-        Rig rig("s", CacheModel::LineStore::Flat);
-        TrafficPlane plane(*rig.store, config);
+        ShardRig rig("kvtp_s", kShards, kPerShardCapacity);
+        TrafficPlane plane(rig.store(), config);
         ThreadPool pool(threads);
         const TrafficPlaneReport run = plane.run(pool);
 
         // Disjoint key ranges make the sequential replay of the same
         // streams byte-equivalent, not just statistically close.
-        Rig seq("q", CacheModel::LineStore::Flat);
+        ShardRig seq("kvtp_q", kShards, kPerShardCapacity);
         const apps::KvBatchResult reference =
-            plane.runSequential(*seq.store);
+            plane.runSequential(seq.store());
         const bool equivalent =
-            sameResult(run.result, reference) &&
-            rig.store->size() == seq.store->size() &&
-            rig.store->checksum() == seq.store->checksum();
+            run.result == reference &&
+            rig.store().size() == seq.store().size() &&
+            rig.store().checksum() == seq.store().checksum();
         all_equivalent = all_equivalent && equivalent;
 
-        Rig again_rig("r", CacheModel::LineStore::Flat);
-        TrafficPlane again(*again_rig.store, config);
+        ShardRig again_rig("kvtp_r", kShards, kPerShardCapacity);
+        TrafficPlane again(again_rig.store(), config);
         deterministic = deterministic &&
-                        sameResult(again.run(pool).result, run.result);
+                        again.run(pool).result == run.result;
 
         sweep_rates.push_back(run.opsPerSec());
         sweep.addRow({std::to_string(threads), std::to_string(run.ops()),
@@ -212,8 +180,9 @@ main(int argc, char **argv)
     for (const Arm &arm : arms) {
         TrafficPlaneConfig config = base;
         config.workers = workers;
-        Rig rig(arm.gauge, arm.lineStore);
-        TrafficPlane plane(*rig.store, config);
+        ShardRig rig(std::string("kvtp_") + arm.gauge, kShards,
+                     kPerShardCapacity, arm.lineStore);
+        TrafficPlane plane(rig.store(), config);
         ThreadPool pool(workers);
         const TrafficPlaneReport run = (plane.*arm.run)(pool);
         const double p50 = run.latencyNs.percentile(50);

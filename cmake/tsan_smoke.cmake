@@ -37,14 +37,13 @@ if(NOT build_rc EQUAL 0)
         "tsan_smoke: build failed (rc=${build_rc}):\n${build_out}")
 endif()
 
-# The threaded suites: thread-pool scheduling, concurrent sharded
-# serving vs the sequential reference, and the determinism battery
-# (which runs the pool twice per test). halt_on_error turns any TSan
-# report into a nonzero exit so the ctest fails loudly.
+# The threaded suites: thread-pool scheduling, batched sharded
+# application, and the determinism battery. halt_on_error turns any
+# TSan report into a nonzero exit so the ctest fails loudly.
 set(ENV{TSAN_OPTIONS} "halt_on_error=1")
 execute_process(
     COMMAND ${OUT_DIR}/tests/test_concurrency
-        --gtest_filter=ThreadPool.*:ShardedEquivalence.*:Determinism.*:KvBatch.*
+        --gtest_filter=ThreadPool.*:Determinism.*:KvBatch.*
     RESULT_VARIABLE run_rc
     OUTPUT_VARIABLE run_out
     ERROR_VARIABLE run_out

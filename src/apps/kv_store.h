@@ -75,6 +75,8 @@ struct KvBatchResult
     }
 
     uint64_t ops() const { return puts + putsRejected + gets + erases; }
+
+    bool operator==(const KvBatchResult &) const = default;
 };
 
 /** Fixed-capacity open-addressing hash store in simulated NVRAM. */

@@ -198,17 +198,13 @@ SaveRoutine::run(uint64_t boot_sequence, bool degraded_hint,
         // Fig. 9 shows why this is infeasible within the residual
         // window.
         const Tick start = queue_.now();
-        auto after = [this, start](Tick total) {
+        devices_->suspendAll([this, start](Tick total) {
             if (!machine_.powerOn())
                 return;
             report_.deviceSuspendTime = total;
             record("acpi device suspend", start, queue_.now());
             stepIpis();
-        };
-        if (config_.parallelDeviceSuspend)
-            devices_->suspendAllParallel(std::move(after));
-        else
-            devices_->suspendAll(std::move(after));
+        });
         return;
     }
     stepIpis();

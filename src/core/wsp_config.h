@@ -112,14 +112,6 @@ struct WspConfig
      *  socket's logical CPUs). */
     unsigned flushWorkersPerSocket = 0;
 
-    /**
-     * Suspend independent devices in parallel waves (grouped by
-     * DeviceConfig::suspendWave) instead of the sequential ACPI walk.
-     * Only meaningful with DevicePolicy::AcpiSuspendOnSave; off by
-     * default so Fig. 9 keeps measuring the sequential strawman.
-     */
-    bool parallelDeviceSuspend = false;
-
     /** Firmware (BIOS + bootloader) latency on the boot path. */
     Tick firmwareBootLatency = fromSeconds(5.0);
 

@@ -8,7 +8,6 @@
 #include "load/op_stream.h"
 #include "load/spsc_ring.h"
 #include "trace/stat_registry.h"
-#include "util/arena.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 
@@ -18,6 +17,13 @@ namespace {
 
 /** Bytes one streamed (key, value) pair stands for on the wire. */
 constexpr uint64_t kPairBytes = 16;
+
+/** runStormThreaded's generator op mix (puts get the remaining 500,
+ *  matching runStorm's put_fraction = 0.5 traffic) and the depth of
+ *  each generator's SPSC ring. */
+constexpr uint32_t kStormGetPermille = 400;
+constexpr uint32_t kStormErasePermille = 100;
+constexpr size_t kStormRingFrames = 1024;
 
 bool
 containsNode(const std::vector<uint32_t> &set, uint32_t node)
@@ -266,15 +272,6 @@ Fleet::oneRequest(double put_fraction)
 }
 
 void
-Fleet::trafficUntil(Tick t, double put_fraction)
-{
-    while (now_ + config_.trafficSpacing <= t) {
-        now_ += config_.trafficSpacing;
-        oneRequest(put_fraction);
-    }
-}
-
-void
 Fleet::runTraffic(unsigned requests, double put_fraction)
 {
     for (unsigned i = 0; i < requests; ++i) {
@@ -519,18 +516,22 @@ Fleet::processEvent(Tick when, const Event &event)
     }
 }
 
+template <typename NextRequest>
 StormOutcome
-Fleet::runStorm(uint64_t mask, Tick outage, Tick window,
-                double put_fraction)
+Fleet::stormLoop(uint64_t mask, Tick outage, Tick window,
+                 NextRequest &&next_request)
 {
     const StormState before = storm_;
     killSubset(mask, outage, window);
 
-    // Drive sampled client traffic between recovery events until the
-    // fleet is whole again.
+    // Drive one client request per trafficSpacing tick between
+    // recovery events until the fleet is whole again.
     while (!agenda_.empty()) {
         const Tick next = agenda_.begin()->first;
-        trafficUntil(next, put_fraction);
+        while (now_ + config_.trafficSpacing <= next) {
+            now_ += config_.trafficSpacing;
+            next_request();
+        }
         advanceTo(next);
     }
 
@@ -556,95 +557,63 @@ Fleet::runStorm(uint64_t mask, Tick outage, Tick window,
 }
 
 StormOutcome
-Fleet::runStormThreaded(ThreadPool &pool, uint64_t mask, Tick outage,
-                        Tick window, const StormLoad &load)
+Fleet::runStorm(uint64_t mask, Tick outage, Tick window,
+                double put_fraction)
 {
-    WSP_CHECK(load.generators >= 1);
-    WSP_CHECKF(pool.threadCount() == load.generators + 1,
-               "pool has %u threads, storm load wants %u generators + 1",
-               pool.threadCount(), load.generators);
-    WSP_CHECK(load.ringFrames >= 2 &&
-              (load.ringFrames & (load.ringFrames - 1)) == 0);
+    return stormLoop(mask, outage, window,
+                     [&] { oneRequest(put_fraction); });
+}
+
+StormOutcome
+Fleet::runStormThreaded(ThreadPool &pool, uint64_t mask, Tick outage,
+                        Tick window)
+{
+    using Ring = wsp::load::SpscRing<apps::KvOp>;
+    WSP_CHECKF(pool.threadCount() == kStormGenerators + 1,
+               "pool has %u threads, the storm wants %u generators + 1",
+               pool.threadCount(), kStormGenerators);
 
     // One SPSC ring per generator, timeline worker as sole consumer.
-    util::Arena arena;
-    std::vector<wsp::load::SpscRing<apps::KvOp> *> rings;
-    rings.reserve(load.generators);
-    for (unsigned g = 0; g < load.generators; ++g) {
-        auto *frames = arena.allocate<apps::KvOp>(load.ringFrames);
-        auto *ring = static_cast<wsp::load::SpscRing<apps::KvOp> *>(
-            arena.allocate(sizeof(wsp::load::SpscRing<apps::KvOp>),
-                           alignof(wsp::load::SpscRing<apps::KvOp>)));
-        rings.push_back(new (ring) wsp::load::SpscRing<apps::KvOp>(
-            frames, load.ringFrames));
-    }
+    std::vector<apps::KvOp> frames(kStormGenerators * kStormRingFrames);
+    std::vector<std::unique_ptr<Ring>> rings;
+    for (unsigned g = 0; g < kStormGenerators; ++g)
+        rings.push_back(std::make_unique<Ring>(
+            frames.data() + g * kStormRingFrames, kStormRingFrames));
 
     std::atomic<bool> done{false};
-    std::vector<uint64_t> producedPerGen(load.generators, 0);
-    std::vector<uint64_t> stallsPerGen(load.generators, 0);
+    uint64_t produced[kStormGenerators] = {};
+    uint64_t stalls[kStormGenerators] = {};
     StormOutcome outcome;
 
     pool.runWorkers([&](unsigned worker) {
         if (worker == 0) {
-            // Timeline worker: the storm loop of runStorm, with the
-            // sampled client traffic popped from the generator rings
-            // (round-robin by request index) instead of drawn from
-            // the fleet rng. Fleet state stays single-threaded.
-            const StormState before = storm_;
-            killSubset(mask, outage, window);
+            // Timeline worker: the storm loop with each client request
+            // popped from the generator rings (round-robin by request
+            // index) instead of drawn from the fleet rng. Fleet state
+            // stays single-threaded.
             unsigned turn = 0;
-            apps::KvOp op{};
-            std::span<apps::KvOp> one(&op, 1);
-            const auto popNext = [&]() {
-                wsp::load::SpscRing<apps::KvOp> &ring = *rings[turn];
-                turn = (turn + 1) % load.generators;
-                while (ring.tryPop(one) == 0) {
+            outcome = stormLoop(mask, outage, window, [&] {
+                apps::KvOp op{};
+                Ring &ring = *rings[turn];
+                turn = (turn + 1) % kStormGenerators;
+                while (ring.tryPop({&op, 1}) == 0) {
                     // Generators only stop after done is set below,
                     // so the ring always refills; just wait our turn.
                     std::this_thread::yield();
                 }
-            };
-            while (!agenda_.empty()) {
-                const Tick next = agenda_.begin()->first;
-                while (now_ + config_.trafficSpacing <= next) {
-                    now_ += config_.trafficSpacing;
-                    popNext();
-                    switch (op.kind) {
-                    case apps::KvOp::Kind::Put:
-                        clientPut(op.key, op.value);
-                        break;
-                    case apps::KvOp::Kind::Get:
-                        clientGet(op.key);
-                        break;
-                    case apps::KvOp::Kind::Erase:
-                        clientErase(op.key);
-                        break;
-                    }
+                switch (op.kind) {
+                case apps::KvOp::Kind::Put:
+                    clientPut(op.key, op.value);
+                    break;
+                case apps::KvOp::Kind::Get:
+                    clientGet(op.key);
+                    break;
+                case apps::KvOp::Kind::Erase:
+                    clientErase(op.key);
+                    break;
                 }
-                advanceTo(next);
-            }
+            });
             done.store(true, std::memory_order_release);
-
-            outcome.start = storm_.start;
-            outcome.powerRestored = storm_.powerRestored;
-            outcome.fullCapacityAt = storm_.lastReady;
-            outcome.timeToFullCapacity =
-                storm_.lastReady > storm_.powerRestored
-                    ? storm_.lastReady - storm_.powerRestored
-                    : 0;
-            outcome.victims = storm_.victims - before.victims;
-            outcome.wspRecoveries =
-                storm_.wspRecoveries - before.wspRecoveries;
-            outcome.salvageBoots =
-                storm_.salvageBoots - before.salvageBoots;
-            outcome.backendRefills =
-                storm_.backendRefills - before.backendRefills;
-            outcome.digestsExchanged = storm_.digests - before.digests;
-            outcome.repairStreamedBytes =
-                storm_.streamed - before.streamed;
-            outcome.shardsRepaired =
-                storm_.shardsRepaired - before.shardsRepaired;
-            storm_.active = false;
             return;
         }
 
@@ -657,25 +626,25 @@ Fleet::runStormThreaded(ThreadPool &pool, uint64_t mask, Tick outage,
         wsp::load::OpStreamConfig sc;
         sc.keyLo = 1;
         sc.keyCount = config_.keyUniverse;
-        sc.getPermille = load.getPermille;
-        sc.erasePermille = load.erasePermille;
+        sc.getPermille = kStormGetPermille;
+        sc.erasePermille = kStormErasePermille;
         wsp::load::OpStream stream(sc, Rng(config_.seed).stream(g + 100));
-        wsp::load::SpscRing<apps::KvOp> &ring = *rings[g];
+        Ring &ring = *rings[g];
         while (!done.load(std::memory_order_acquire)) {
             const apps::KvOp next = stream.next();
             while (!ring.tryPush(next)) {
-                ++stallsPerGen[g];
+                ++stalls[g];
                 if (done.load(std::memory_order_acquire))
                     return; // leftover frames are simply dropped
                 std::this_thread::yield();
             }
-            ++producedPerGen[g];
+            ++produced[g];
         }
     });
 
-    for (unsigned g = 0; g < load.generators; ++g) {
-        outcome.generatorOps += producedPerGen[g];
-        outcome.generatorStalls += stallsPerGen[g];
+    for (unsigned g = 0; g < kStormGenerators; ++g) {
+        outcome.generatorOps += produced[g];
+        outcome.generatorStalls += stalls[g];
     }
     auto &stats = trace::StatRegistry::instance();
     stats.counter("fleet.storm.generator_ops").add(outcome.generatorOps);

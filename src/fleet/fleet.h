@@ -129,19 +129,6 @@ struct RequestStats
     uint64_t ackedWrites = 0;
 };
 
-/**
- * Threaded-load knobs for runStormThreaded: how many real generator
- * threads feed the storm, their op mix, and the ring depth between
- * them and the timeline thread.
- */
-struct StormLoad
-{
-    unsigned generators = 2;
-    uint32_t getPermille = 400;   ///< matches put_fraction=0.5 traffic
-    uint32_t erasePermille = 100; ///< (puts get the remaining 500)
-    size_t ringFrames = 1024;     ///< per-generator SPSC depth (pow2)
-};
-
 /** What one correlated outage (storm) did to the fleet. */
 struct StormOutcome
 {
@@ -244,24 +231,27 @@ class Fleet
     StormOutcome runStorm(uint64_t mask, Tick outage, Tick window,
                           double put_fraction = 0.5);
 
+    /** Generator threads runStormThreaded drives. */
+    static constexpr unsigned kStormGenerators = 2;
+
     /**
-     * The same storm driven by real threads: @p load.generators pool
-     * workers each run a deterministic load::OpStream into a private
-     * SPSC ring, and the timeline worker (pool worker 0) drains the
-     * rings round-robin — one op per trafficSpacing tick — applying
-     * each as a quorum client request. Because every stream is
-     * deterministic and the drain order is fixed, the applied request
-     * sequence does not depend on OS scheduling; the threads are real
-     * but the outcome is reproducible, and the differential test
-     * holds it against the modeled runStorm within 5%.
+     * The same storm driven by real threads: kStormGenerators pool
+     * workers each run a deterministic load::OpStream (get 400 /
+     * erase 100 / put 500 permille) into a private SPSC ring, and the
+     * timeline worker (pool worker 0) drains the rings round-robin —
+     * one op per trafficSpacing tick — applying each as a quorum
+     * client request. Because every stream is deterministic and the
+     * drain order is fixed, the applied request sequence does not
+     * depend on OS scheduling; the threads are real but the outcome
+     * is reproducible, and the differential test holds it against
+     * the modeled runStorm within 5%.
      *
-     * @p pool must have exactly load.generators + 1 threads (worker 0
-     * drives the timeline). Generators that outrun the timeline block
-     * on their ring (counted in StormOutcome::generatorStalls).
+     * @p pool must have exactly kStormGenerators + 1 threads (worker
+     * 0 drives the timeline). Generators that outrun the timeline
+     * block on their ring (counted in StormOutcome::generatorStalls).
      */
     StormOutcome runStormThreaded(ThreadPool &pool, uint64_t mask,
-                                  Tick outage, Tick window,
-                                  const StormLoad &load = {});
+                                  Tick outage, Tick window);
 
     /** Permanent loss: drop the node and rebalance its keys. */
     RebalanceReport decommission(uint32_t id);
@@ -327,8 +317,18 @@ class Fleet
     void recordLatency(uint64_t key, Tick latency);
     void recordCapacity();
     void processEvent(Tick when, const Event &event);
-    void trafficUntil(Tick t, double put_fraction);
     void oneRequest(double put_fraction);
+
+    /**
+     * The storm both run arms share: kill, then call
+     * @p next_request once per trafficSpacing tick between recovery
+     * events until every victim is certified Up, and report what
+     * this storm added to the running storm bookkeeping.
+     */
+    template <typename NextRequest>
+    StormOutcome stormLoop(uint64_t mask, Tick outage, Tick window,
+                           NextRequest &&next_request);
+
     bool applyWrite(uint64_t key, uint64_t value, bool is_erase);
     RepairResult repairNode(FleetNode &node);
     Tick modeledBootAndRestore() const;

@@ -37,7 +37,6 @@ struct TrafficPlane::WorkerSlot
     apps::KvBatchResult result;
     Histogram latencyNs{0.0, 1.0, 1};
     uint64_t stalls = 0;
-    uint64_t consumed = 0;
     char pad[64] = {};
 };
 
@@ -94,7 +93,7 @@ TrafficPlane::makeStream(unsigned worker) const
 }
 
 uint64_t
-TrafficPlane::drainOwnedShards(unsigned /*worker*/, WorkerSlot &slot)
+TrafficPlane::drainOwnedShards(WorkerSlot &slot)
 {
     uint64_t applied = 0;
     for (unsigned s : slot.ownedShards) {
@@ -125,39 +124,54 @@ TrafficPlane::drainOwnedShards(unsigned /*worker*/, WorkerSlot &slot)
                                    j - i);
                 i = j;
             }
-            slot.consumed += n;
             applied += n;
         }
     }
     return applied;
 }
 
+template <typename Worker>
 TrafficPlaneReport
-TrafficPlane::run(ThreadPool &pool)
+TrafficPlane::runArm(ThreadPool &pool, Worker &&worker)
 {
     WSP_CHECKF(pool.threadCount() == config_.workers,
                "pool has %u threads, config wants %u", pool.threadCount(),
                config_.workers);
     const Histogram empty(0.0, config_.latencyHiMs * 1e6,
-                                config_.latencyBuckets);
+                          config_.latencyBuckets);
     for (WorkerSlot &slot : slots_) {
         slot.result = apps::KvBatchResult{};
         slot.latencyNs = empty;
         slot.stalls = 0;
-        slot.consumed = 0;
     }
     producersDone_.store(0, std::memory_order_relaxed);
     if (config_.pinWorkers)
         pool.pinToCores();
 
-    const unsigned workers = config_.workers;
     const double nsPerOp = config_.pacedOpsPerSec > 0.0
                                ? 1e9 / config_.pacedOpsPerSec
                                : 0.0;
     const int64_t wallStart = nowNs();
 
-    pool.runWorkers([&](unsigned w) {
-        WorkerSlot &slot = slots_[w];
+    pool.runWorkers([&](unsigned w) { worker(w, slots_[w], nsPerOp); });
+
+    TrafficPlaneReport report;
+    report.wallSeconds =
+        static_cast<double>(nowNs() - wallStart) * 1e-9;
+    report.latencyNs = empty;
+    for (const WorkerSlot &slot : slots_) {
+        report.result.merge(slot.result);
+        report.latencyNs.merge(slot.latencyNs);
+        report.backpressureStalls += slot.stalls;
+    }
+    return report;
+}
+
+TrafficPlaneReport
+TrafficPlane::run(ThreadPool &pool)
+{
+    const unsigned workers = config_.workers;
+    return runArm(pool, [&](unsigned w, WorkerSlot &slot, double nsPerOp) {
         OpStream stream = makeStream(w);
         const uint64_t total = config_.opsPerWorker;
         const int64_t start = nowNs();
@@ -175,7 +189,7 @@ TrafficPlane::run(ThreadPool &pool)
                                        nsPerOp);
                 while (nowNs() < intended) {
                     if (slot.ownedShards.empty() ||
-                        drainOwnedShards(w, slot) == 0)
+                        drainOwnedShards(slot) == 0)
                         std::this_thread::yield();
                 }
             } else {
@@ -192,13 +206,13 @@ TrafficPlane::run(ThreadPool &pool)
                     // the worker graph.
                     ++slot.stalls;
                     if (slot.ownedShards.empty() ||
-                        drainOwnedShards(w, slot) == 0)
+                        drainOwnedShards(slot) == 0)
                         std::this_thread::yield();
                 }
             }
             produced += burst;
             if (!slot.ownedShards.empty())
-                drainOwnedShards(w, slot);
+                drainOwnedShards(slot);
         }
         // Release-publish our completed stream, then keep consuming
         // until every producer is done AND every owned ring reads
@@ -209,7 +223,7 @@ TrafficPlane::run(ThreadPool &pool)
         if (slot.ownedShards.empty())
             return;
         for (;;) {
-            if (drainOwnedShards(w, slot) == 0)
+            if (drainOwnedShards(slot) == 0)
                 std::this_thread::yield(); // single-core friendliness
             if (producersDone_.load(std::memory_order_acquire) != workers)
                 continue;
@@ -224,43 +238,12 @@ TrafficPlane::run(ThreadPool &pool)
                 return;
         }
     });
-
-    TrafficPlaneReport report;
-    report.wallSeconds =
-        static_cast<double>(nowNs() - wallStart) * 1e-9;
-    report.latencyNs = empty;
-    for (const WorkerSlot &slot : slots_) {
-        report.result.merge(slot.result);
-        report.latencyNs.merge(slot.latencyNs);
-        report.backpressureStalls += slot.stalls;
-    }
-    return report;
 }
 
 TrafficPlaneReport
 TrafficPlane::runMutexPerOp(ThreadPool &pool)
 {
-    WSP_CHECKF(pool.threadCount() == config_.workers,
-               "pool has %u threads, config wants %u", pool.threadCount(),
-               config_.workers);
-    const Histogram empty(0.0, config_.latencyHiMs * 1e6,
-                          config_.latencyBuckets);
-    for (WorkerSlot &slot : slots_) {
-        slot.result = apps::KvBatchResult{};
-        slot.latencyNs = empty;
-        slot.stalls = 0;
-        slot.consumed = 0;
-    }
-    if (config_.pinWorkers)
-        pool.pinToCores();
-
-    const double nsPerOp = config_.pacedOpsPerSec > 0.0
-                               ? 1e9 / config_.pacedOpsPerSec
-                               : 0.0;
-    const int64_t wallStart = nowNs();
-
-    pool.runWorkers([&](unsigned w) {
-        WorkerSlot &slot = slots_[w];
+    return runArm(pool, [&](unsigned w, WorkerSlot &slot, double nsPerOp) {
         OpStream stream = makeStream(w);
         const uint64_t total = config_.opsPerWorker;
         const int64_t start = nowNs();
@@ -307,47 +290,15 @@ TrafficPlane::runMutexPerOp(ThreadPool &pool)
             }
             const int64_t done = nowNs();
             slot.latencyNs.add(static_cast<double>(done - intended), burst);
-            slot.consumed += burst;
             produced += burst;
         }
     });
-
-    TrafficPlaneReport report;
-    report.wallSeconds =
-        static_cast<double>(nowNs() - wallStart) * 1e-9;
-    report.latencyNs = empty;
-    for (const WorkerSlot &slot : slots_) {
-        report.result.merge(slot.result);
-        report.latencyNs.merge(slot.latencyNs);
-        report.backpressureStalls += slot.stalls;
-    }
-    return report;
 }
 
 TrafficPlaneReport
 TrafficPlane::runMutexBatch(ThreadPool &pool)
 {
-    WSP_CHECKF(pool.threadCount() == config_.workers,
-               "pool has %u threads, config wants %u", pool.threadCount(),
-               config_.workers);
-    const Histogram empty(0.0, config_.latencyHiMs * 1e6,
-                                config_.latencyBuckets);
-    for (WorkerSlot &slot : slots_) {
-        slot.result = apps::KvBatchResult{};
-        slot.latencyNs = empty;
-        slot.stalls = 0;
-        slot.consumed = 0;
-    }
-    if (config_.pinWorkers)
-        pool.pinToCores();
-
-    const double nsPerOp = config_.pacedOpsPerSec > 0.0
-                               ? 1e9 / config_.pacedOpsPerSec
-                               : 0.0;
-    const int64_t wallStart = nowNs();
-
-    pool.runWorkers([&](unsigned w) {
-        WorkerSlot &slot = slots_[w];
+    return runArm(pool, [&](unsigned w, WorkerSlot &slot, double nsPerOp) {
         OpStream stream = makeStream(w);
         const uint64_t total = config_.opsPerWorker;
         const int64_t start = nowNs();
@@ -370,21 +321,9 @@ TrafficPlane::runMutexBatch(ThreadPool &pool)
             slot.result.merge(store_.applyBatch(batch));
             const int64_t done = nowNs();
             slot.latencyNs.add(static_cast<double>(done - intended), burst);
-            slot.consumed += burst;
             produced += burst;
         }
     });
-
-    TrafficPlaneReport report;
-    report.wallSeconds =
-        static_cast<double>(nowNs() - wallStart) * 1e-9;
-    report.latencyNs = empty;
-    for (const WorkerSlot &slot : slots_) {
-        report.result.merge(slot.result);
-        report.latencyNs.merge(slot.latencyNs);
-        report.backpressureStalls += slot.stalls;
-    }
-    return report;
 }
 
 apps::KvBatchResult

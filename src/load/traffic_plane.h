@@ -4,9 +4,10 @@
  * submission rings, drained by shard-owning consumers into batched
  * store application.
  *
- * This is the serving tier's front door (DESIGN.md §15). The fleet
- * and service layers previously *modeled* client traffic as analytic
- * arrivals; this plane pushes real operations from real threads:
+ * This is the serving tier's front door and the only threaded path
+ * into a ShardedKvStore (DESIGN.md §15). Rather than modeling client
+ * traffic as analytic arrivals, the plane pushes real operations from
+ * real threads:
  *
  *  - W pool workers each run a deterministic OpStream
  *    (Rng::stream(w), disjoint or shared key ranges, uniform or
@@ -33,10 +34,10 @@
  *    worker records into its own Histogram and the plane merges them
  *    (Histogram::merge) at the end.
  *
- * The pre-PR dispatch (every worker calling ShardedKvStore::applyBatch
- * under per-shard mutexes, with its counting-sort grouping pass) is
- * kept as runMutexBatch() — bench/kv_throughput measures both planes
- * in one binary, and tests check the rings plane against a
+ * Mutex dispatch (every worker calling the store's front door, per
+ * op or per hand-built batch, under per-shard mutexes) is kept as
+ * runMutexPerOp() and runMutexBatch() — bench/kv_throughput measures
+ * every arm in one binary, and tests check each arm against a
  * sequential replay of the same streams.
  */
 
@@ -101,9 +102,9 @@ struct TrafficPlaneReport
 };
 
 /**
- * The plane. Construction wires the ring matrix over an arena; run()
- * / runMutexBatch() drive one full load through the store (repeated
- * runs continue mutating it, like KvService::run).
+ * The plane. Construction wires the ring matrix over an arena; each
+ * run arm drives one full load through the store (repeated runs
+ * continue mutating it).
  */
 class TrafficPlane
 {
@@ -158,9 +159,19 @@ class TrafficPlane
         return *rings_[producer * shardCount_ + shard];
     }
 
-    /** Drain every ring of the shards @p worker owns; returns frames
+    /**
+     * The per-run skeleton every arm shares: checks the pool size,
+     * resets the worker slots, pins, derives the pacing interval,
+     * runs @p worker(w, slot, nsPerOp) on each pool thread under the
+     * wall clock, and merges the slots into the report in worker
+     * order.
+     */
+    template <typename Worker>
+    TrafficPlaneReport runArm(ThreadPool &pool, Worker &&worker);
+
+    /** Drain every ring of the shards @p slot owns; returns frames
      *  applied. */
-    uint64_t drainOwnedShards(unsigned worker, WorkerSlot &slot);
+    uint64_t drainOwnedShards(WorkerSlot &slot);
 
     apps::ShardedKvStore &store_;
     TrafficPlaneConfig config_;

@@ -64,7 +64,7 @@ enum class FrEvent : uint16_t {
     SaveNvdimmInitiate,///< a0=module count, a1=degraded
     SaveCommandRetry,  ///< a0=retry number
     SaveHalt,          ///< a0=cores halted
-    DeviceSuspendWave, ///< a0=wave index, a1=devices in the wave
+    DeviceSuspendWave, ///< retired: no longer emitted, number kept
     HealthDegrade,     ///< a0=now degraded, a1=transition count
     MediaFault,        ///< a0=module, a1=faulted address
     RegionSalvaged,    ///< a0=tier, a1=region base
@@ -128,7 +128,7 @@ extern std::atomic<uint8_t> g_frMode;
 /**
  * The process-wide black box. Systems attach an NVRAM backing
  * (owner-token discipline, like TraceManager's tick source); emission
- * is mutex-serialized so KvService worker threads can record batches.
+ * is mutex-serialized so host worker threads can record safely.
  */
 class FlightRecorder
 {

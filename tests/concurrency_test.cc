@@ -1,30 +1,29 @@
 /**
  * @file
- * Concurrency test battery for the sharded serving layer and the
- * parallel save path.
+ * Concurrency test battery for the sharded store and the parallel
+ * save path.
  *
  * Three pillars:
  *
- *  - observational equivalence: an N-shard store driven by real
- *    worker threads must end in exactly the state the sequential
- *    single-shard reference reaches, for any thread interleaving;
+ *  - batch equivalence: a batch applied to a plain or sharded store
+ *    must end in exactly the state, and merge to exactly the
+ *    counters, of the same ops applied one by one (the threaded
+ *    traffic plane's equivalence battery lives in load_test.cc);
  *  - durable linearizability: every operation acknowledged before the
  *    power failure must be present (and every erased key absent)
  *    after the NVRAM image boots on a fresh chassis;
- *  - determinism: the same seed must produce the same summary no
- *    matter how the pool's workers are scheduled, which rests on
- *    Rng::stream() being order-independent and the pool partitioning
- *    statically.
+ *  - determinism: the thread pool partitions statically and
+ *    Rng::stream() is order-independent, which is what lets a
+ *    threaded run match its sequential replay.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <map>
 #include <vector>
 
-#include "apps/kv_service.h"
 #include "apps/kv_store.h"
+#include "apps/shard_rig.h"
 #include "crashsim/crash_explorer.h"
 #include "crashsim/invariants.h"
 #include "util/rng.h"
@@ -33,9 +32,6 @@
 namespace wsp {
 namespace {
 
-using apps::KvService;
-using apps::KvServiceConfig;
-using apps::KvServiceSummary;
 using apps::KvStore;
 using apps::ShardedKvStore;
 
@@ -155,20 +151,6 @@ applyPerOp(Store &store, const std::vector<apps::KvOp> &ops)
     return result;
 }
 
-void
-expectSameResult(const apps::KvBatchResult &batched,
-                 const apps::KvBatchResult &scalar)
-{
-    EXPECT_EQ(batched.puts, scalar.puts);
-    EXPECT_EQ(batched.putsRejected, scalar.putsRejected);
-    EXPECT_EQ(batched.gets, scalar.gets);
-    EXPECT_EQ(batched.getHits, scalar.getHits);
-    EXPECT_EQ(batched.getValueSum, scalar.getValueSum);
-    EXPECT_EQ(batched.erases, scalar.erases);
-    EXPECT_EQ(batched.erasesHit, scalar.erasesHit);
-    EXPECT_EQ(batched.ops(), scalar.ops());
-}
-
 TEST(KvBatch, ApplyBatchMatchesPerOpSequence)
 {
     apps::ShardEnvironment batch_env("batch-single", 4 * kMiB);
@@ -182,7 +164,7 @@ TEST(KvBatch, ApplyBatchMatchesPerOpSequence)
     const apps::KvBatchResult batch_result = batched.applyBatch(ops);
     const apps::KvBatchResult scalar_result = applyPerOp(scalar, ops);
 
-    expectSameResult(batch_result, scalar_result);
+    EXPECT_EQ(batch_result, scalar_result);
     EXPECT_GT(batch_result.putsRejected, 0u);
     EXPECT_EQ(batched.size(), scalar.size());
     EXPECT_EQ(batched.checksum(), scalar.checksum());
@@ -206,7 +188,7 @@ TEST(KvBatch, ShardedApplyBatchMatchesPerOpSequence)
     // The sharded batch groups ops by shard before applying; the
     // counters are order-independent sums, so they must merge back to
     // exactly the sequential outcome — and so must the store state.
-    expectSameResult(batch_result, scalar_result);
+    EXPECT_EQ(batch_result, scalar_result);
     EXPECT_GT(batch_result.putsRejected, 0u);
     EXPECT_EQ(batched.size(), scalar.size());
     EXPECT_EQ(batched.checksum(), scalar.checksum());
@@ -239,64 +221,6 @@ TEST(ShardedKvStore, AttachRejectsGarbageAndMismatchedShards)
     EXPECT_FALSE(
         ShardedKvStore::attach(std::span<CacheModel *const>(three), 0)
             .has_value());
-}
-
-// Observational equivalence --------------------------------------------
-
-TEST(ShardedEquivalence, ThreadedRunMatchesSequentialReference)
-{
-    for (const uint64_t seed : {1ull, 17ull, 20260805ull}) {
-        KvServiceConfig config;
-        config.shards = 4;
-        config.threads = 4;
-        config.perShardCapacity = 2048;
-        config.opsPerThread = 4000;
-        config.keysPerWorker = 256;
-        config.seed = seed;
-
-        KvService service(config);
-        const KvServiceSummary threaded = service.run();
-        const KvServiceSummary reference =
-            KvService::runReference(config);
-
-        EXPECT_EQ(threaded.opsApplied, reference.opsApplied) << seed;
-        EXPECT_EQ(threaded.puts, reference.puts) << seed;
-        EXPECT_EQ(threaded.gets, reference.gets) << seed;
-        EXPECT_EQ(threaded.getHits, reference.getHits) << seed;
-        EXPECT_EQ(threaded.erases, reference.erases) << seed;
-        EXPECT_EQ(threaded.finalSize, reference.finalSize) << seed;
-        EXPECT_EQ(threaded.finalChecksum, reference.finalChecksum)
-            << seed;
-    }
-}
-
-TEST(ShardedEquivalence, MoreThreadsThanShardsStillEquivalent)
-{
-    KvServiceConfig config;
-    config.shards = 2;
-    config.threads = 8;
-    config.perShardCapacity = 4096;
-    config.opsPerThread = 1500;
-    config.keysPerWorker = 128;
-    config.seed = 99;
-
-    KvService service(config);
-    const KvServiceSummary threaded = service.run();
-    const KvServiceSummary reference = KvService::runReference(config);
-    EXPECT_EQ(threaded.finalSize, reference.finalSize);
-    EXPECT_EQ(threaded.finalChecksum, reference.finalChecksum);
-    EXPECT_EQ(threaded.getHits, reference.getHits);
-}
-
-TEST(ShardedEquivalence, DirectoryWorkloadCountsExact)
-{
-    // Every (worker, i) pair produces a unique DN, so the striped
-    // directory must hold exactly threads * entries entries.
-    const uint64_t total =
-        apps::runShardedDirectoryWorkload(/*shards=*/4, /*threads=*/4,
-                                          /*entries_per_thread=*/150,
-                                          /*seed=*/5);
-    EXPECT_EQ(total, 600u);
 }
 
 // Durable linearizability ----------------------------------------------
@@ -396,28 +320,6 @@ TEST(ThreadPool, RunWorkersPassesDistinctIndexes)
 }
 
 // Determinism ----------------------------------------------------------
-
-TEST(Determinism, SameSeedSameFingerprint)
-{
-    KvServiceConfig config;
-    config.shards = 4;
-    config.threads = 8;
-    config.perShardCapacity = 2048;
-    config.opsPerThread = 3000;
-    config.keysPerWorker = 200;
-    config.seed = 1234;
-
-    KvService first(config);
-    KvService second(config);
-    const KvServiceSummary a = first.run();
-    const KvServiceSummary b = second.run();
-    EXPECT_EQ(a.fingerprint(), b.fingerprint());
-    EXPECT_EQ(a.shardSizes, b.shardSizes);
-
-    config.seed = 1235;
-    KvService third(config);
-    EXPECT_NE(third.run().fingerprint(), a.fingerprint());
-}
 
 TEST(Determinism, RngStreamIsOrderIndependent)
 {

@@ -12,11 +12,10 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <thread>
 #include <vector>
 
-#include "apps/kv_service.h"
+#include "apps/shard_rig.h"
 #include "apps/workload.h"
 #include "fleet/fleet.h"
 #include "load/op_stream.h"
@@ -31,8 +30,6 @@
 using namespace wsp;
 using namespace wsp::load;
 using apps::KvOp;
-using apps::ShardEnvironment;
-using apps::ShardedKvStore;
 using wsp::testing::testSeed;
 
 namespace {
@@ -279,67 +276,54 @@ TEST(HistogramWeighted, AddCountMatchesRepeatedAdd)
 constexpr unsigned kShards = 8;
 constexpr uint64_t kPerShardCapacity = 4096;
 
-/** A fresh sharded store plus the shard environments backing it. */
-struct Rig
-{
-    std::vector<std::unique_ptr<ShardEnvironment>> envs;
-    std::unique_ptr<ShardedKvStore> store;
-
-    explicit Rig(const char *tag,
-                 CacheModel::LineStore line_store =
-                     CacheModel::LineStore::Flat)
-    {
-        const uint64_t region =
-            ShardedKvStore::regionBytes(kShards, kPerShardCapacity);
-        std::vector<CacheModel *> caches;
-        for (unsigned i = 0; i < kShards; ++i) {
-            envs.push_back(std::make_unique<ShardEnvironment>(
-                std::string("load_") + tag + std::to_string(i), region,
-                line_store));
-            caches.push_back(&envs.back()->cache);
-        }
-        store = std::make_unique<ShardedKvStore>(
-            std::span<CacheModel *const>(caches), 0, kPerShardCapacity);
-    }
-};
-
-bool
-sameResult(const apps::KvBatchResult &a, const apps::KvBatchResult &b)
-{
-    return a.puts == b.puts && a.putsRejected == b.putsRejected &&
-           a.gets == b.gets && a.getHits == b.getHits &&
-           a.getValueSum == b.getValueSum && a.erases == b.erases &&
-           a.erasesHit == b.erasesHit;
-}
-
 TEST(TrafficPlane, ThreadedMatchesSequentialReplayAcrossSeeds)
 {
     // Disjoint key ranges make per-key op order the worker's own
     // stream order, so the rings plane must match the sequential
     // replay *exactly* — counters, store size, and content checksum —
-    // for every seed, not statistically.
-    ThreadPool pool(4);
-    for (uint64_t trial = 0; trial < 10; ++trial) {
-        TrafficPlaneConfig config;
-        config.workers = 4;
-        config.opsPerWorker = 5000;
-        config.keysPerWorker = 512;
-        config.seed = testSeed(0x10ad10 + trial);
+    // for every seed, not statistically. The second shape runs more
+    // workers than shards, so six workers own no shard and only
+    // produce.
+    struct Shape
+    {
+        unsigned workers;
+        unsigned shards;
+    };
+    for (const Shape shape : {Shape{4, kShards}, Shape{8, 2}}) {
+        ThreadPool pool(shape.workers);
+        uint64_t previous_checksum = 0;
+        for (uint64_t trial = 0; trial < 10; ++trial) {
+            TrafficPlaneConfig config;
+            config.workers = shape.workers;
+            config.opsPerWorker = 5000;
+            config.keysPerWorker = 512;
+            config.seed = testSeed(0x10ad10 + trial);
 
-        Rig threaded("t");
-        TrafficPlane plane(*threaded.store, config);
-        const TrafficPlaneReport run = plane.run(pool);
-        EXPECT_EQ(run.ops(), 4u * 5000u);
-        EXPECT_EQ(run.latencyNs.total(), run.ops());
+            apps::ShardRig threaded("load_t", shape.shards,
+                                    kPerShardCapacity);
+            TrafficPlane plane(threaded.store(), config);
+            const TrafficPlaneReport run = plane.run(pool);
+            EXPECT_EQ(run.ops(), shape.workers * 5000u);
+            EXPECT_EQ(run.latencyNs.total(), run.ops());
 
-        Rig sequential("s");
-        const apps::KvBatchResult reference =
-            plane.runSequential(*sequential.store);
-        EXPECT_TRUE(sameResult(run.result, reference)) << "seed trial "
-                                                       << trial;
-        EXPECT_EQ(threaded.store->size(), sequential.store->size());
-        EXPECT_EQ(threaded.store->checksum(),
-                  sequential.store->checksum());
+            apps::ShardRig sequential("load_s", shape.shards,
+                                      kPerShardCapacity);
+            const apps::KvBatchResult reference =
+                plane.runSequential(sequential.store());
+            EXPECT_EQ(run.result, reference)
+                << shape.workers << " workers, seed trial " << trial;
+            EXPECT_EQ(threaded.store().size(), sequential.store().size());
+            EXPECT_EQ(threaded.store().checksum(),
+                      sequential.store().checksum());
+
+            // A new seed must change the outcome: the streams really
+            // derive from the seed, not from the worker index alone.
+            if (trial > 0) {
+                EXPECT_NE(threaded.store().checksum(), previous_checksum)
+                    << shape.workers << " workers, seed trial " << trial;
+            }
+            previous_checksum = threaded.store().checksum();
+        }
     }
 }
 
@@ -354,25 +338,26 @@ TEST(TrafficPlane, MutexArmsMatchSequentialReplay)
     config.seed = testSeed(0x10ad20);
     ThreadPool pool(4);
 
-    Rig sequential("ms");
-    TrafficPlane reference_plane(*sequential.store, config);
+    apps::ShardRig sequential("load_ms", kShards, kPerShardCapacity);
+    TrafficPlane reference_plane(sequential.store(), config);
     const apps::KvBatchResult reference =
-        reference_plane.runSequential(*sequential.store);
+        reference_plane.runSequential(sequential.store());
 
-    Rig perop("mp", CacheModel::LineStore::Reference);
-    TrafficPlane perop_plane(*perop.store, config);
+    apps::ShardRig perop("load_mp", kShards, kPerShardCapacity,
+                         CacheModel::LineStore::Reference);
+    TrafficPlane perop_plane(perop.store(), config);
     const TrafficPlaneReport perop_run = perop_plane.runMutexPerOp(pool);
-    EXPECT_TRUE(sameResult(perop_run.result, reference));
-    EXPECT_EQ(perop.store->size(), sequential.store->size());
-    EXPECT_EQ(perop.store->checksum(), sequential.store->checksum());
+    EXPECT_EQ(perop_run.result, reference);
+    EXPECT_EQ(perop.store().size(), sequential.store().size());
+    EXPECT_EQ(perop.store().checksum(), sequential.store().checksum());
     EXPECT_EQ(perop_run.latencyNs.total(), perop_run.ops());
 
-    Rig batch("mb");
-    TrafficPlane batch_plane(*batch.store, config);
+    apps::ShardRig batch("load_mb", kShards, kPerShardCapacity);
+    TrafficPlane batch_plane(batch.store(), config);
     const TrafficPlaneReport batch_run = batch_plane.runMutexBatch(pool);
-    EXPECT_TRUE(sameResult(batch_run.result, reference));
-    EXPECT_EQ(batch.store->size(), sequential.store->size());
-    EXPECT_EQ(batch.store->checksum(), sequential.store->checksum());
+    EXPECT_EQ(batch_run.result, reference);
+    EXPECT_EQ(batch.store().size(), sequential.store().size());
+    EXPECT_EQ(batch.store().checksum(), sequential.store().checksum());
 }
 
 TEST(TrafficPlane, BackpressureOnTinyRingsKeepsEquivalence)
@@ -390,18 +375,18 @@ TEST(TrafficPlane, BackpressureOnTinyRingsKeepsEquivalence)
     config.seed = testSeed(0x10ad30);
     ThreadPool pool(4);
 
-    Rig threaded("bp");
-    TrafficPlane plane(*threaded.store, config);
+    apps::ShardRig threaded("load_bp", kShards, kPerShardCapacity);
+    TrafficPlane plane(threaded.store(), config);
     const TrafficPlaneReport run = plane.run(pool);
     EXPECT_GT(run.backpressureStalls, 0u);
     EXPECT_EQ(run.ops(), 4u * 3000u);
 
-    Rig sequential("bq");
+    apps::ShardRig sequential("load_bq", kShards, kPerShardCapacity);
     const apps::KvBatchResult reference =
-        plane.runSequential(*sequential.store);
-    EXPECT_TRUE(sameResult(run.result, reference));
-    EXPECT_EQ(threaded.store->size(), sequential.store->size());
-    EXPECT_EQ(threaded.store->checksum(), sequential.store->checksum());
+        plane.runSequential(sequential.store());
+    EXPECT_EQ(run.result, reference);
+    EXPECT_EQ(threaded.store().size(), sequential.store().size());
+    EXPECT_EQ(threaded.store().checksum(), sequential.store().checksum());
 }
 
 TEST(TrafficPlane, SharedZipfKeysConserveTotals)
@@ -421,14 +406,14 @@ TEST(TrafficPlane, SharedZipfKeysConserveTotals)
     config.seed = testSeed(0x10ad40);
     ThreadPool pool(4);
 
-    Rig rig("sh");
-    TrafficPlane plane(*rig.store, config);
+    apps::ShardRig rig("load_sh", kShards, kPerShardCapacity);
+    TrafficPlane plane(rig.store(), config);
     const TrafficPlaneReport run = plane.run(pool);
     EXPECT_EQ(run.ops(), 4u * 5000u);
     EXPECT_EQ(run.latencyNs.total(), run.ops());
     EXPECT_LE(run.result.getHits, run.result.gets);
     EXPECT_LE(run.result.erasesHit, run.result.erases);
-    EXPECT_LE(rig.store->size(), 512u); // shared universe
+    EXPECT_LE(rig.store().size(), 512u); // shared universe
 }
 
 TEST(TrafficPlane, OpenLoopPacingStretchesTheRun)
@@ -444,8 +429,8 @@ TEST(TrafficPlane, OpenLoopPacingStretchesTheRun)
     config.seed = testSeed(0x10ad50);
     ThreadPool pool(2);
 
-    Rig rig("pc");
-    TrafficPlane plane(*rig.store, config);
+    apps::ShardRig rig("load_pc", kShards, kPerShardCapacity);
+    TrafficPlane plane(rig.store(), config);
     const TrafficPlaneReport run = plane.run(pool);
     EXPECT_EQ(run.ops(), 2u * 2000u);
     EXPECT_EQ(run.latencyNs.total(), run.ops());
@@ -453,10 +438,10 @@ TEST(TrafficPlane, OpenLoopPacingStretchesTheRun)
     // least (2000 - 256) us into the schedule.
     EXPECT_GE(run.wallSeconds, (2000.0 - 256.0) * 1e-6);
 
-    Rig sequential("pq");
+    apps::ShardRig sequential("load_pq", kShards, kPerShardCapacity);
     const apps::KvBatchResult reference =
-        plane.runSequential(*sequential.store);
-    EXPECT_TRUE(sameResult(run.result, reference));
+        plane.runSequential(sequential.store());
+    EXPECT_EQ(run.result, reference);
 }
 
 // CacheModel region view ---------------------------------------------
@@ -577,11 +562,9 @@ TEST(FleetThreadedStorm, MatchesModeledPlaneWithinTolerance)
         /*put_fraction=*/0.5);
 
     fleet::Fleet threaded(config);
-    ThreadPool pool(3); // 2 generators + the timeline worker
-    const fleet::StormLoad load; // get 400 / erase 100 / put 500
+    ThreadPool pool(fleet::Fleet::kStormGenerators + 1); // + timeline
     const fleet::StormOutcome actual = threaded.runStormThreaded(
-        pool, /*mask=*/0b00011, fromSeconds(2.0), fromMillis(33.0),
-        load);
+        pool, /*mask=*/0b00011, fromSeconds(2.0), fromMillis(33.0));
 
     EXPECT_EQ(actual.victims, expected.victims);
     EXPECT_EQ(actual.wspRecoveries, expected.wspRecoveries);
@@ -616,7 +599,7 @@ TEST(FleetThreadedStorm, OutcomeIsReproducibleAcrossRuns)
     fleet::RequestStats stats[2];
     for (int run = 0; run < 2; ++run) {
         fleet::Fleet fleet(config);
-        ThreadPool pool(3);
+        ThreadPool pool(fleet::Fleet::kStormGenerators + 1);
         outcomes[run] = fleet.runStormThreaded(
             pool, /*mask=*/0b00011, fromSeconds(2.0), fromMillis(33.0));
         stats[run] = fleet.stats();
