@@ -33,6 +33,7 @@ endif()
 execute_process(
     COMMAND ${CMAKE_COMMAND} --build ${OUT_DIR}
         --target test_salvage test_sim_property test_conditions test_fleet
+            test_flight_recorder
     RESULT_VARIABLE build_rc
     OUTPUT_VARIABLE build_out
     ERROR_VARIABLE build_out
@@ -83,6 +84,19 @@ if(NOT cond_rc EQUAL 0)
     message(FATAL_ERROR
         "asan_smoke: conditions ASan run failed (rc=${cond_rc}):\n${cond_out}")
 endif()
+# The flight-recorder decoder loads whole words out of raw, possibly
+# torn slot bytes (the all-zero screen and the word-at-a-time CRC), so
+# its codec, tear-sweep and classification suites run here too.
+execute_process(
+    COMMAND ${OUT_DIR}/tests/test_flight_recorder
+    RESULT_VARIABLE fr_rc
+    OUTPUT_VARIABLE fr_out
+    ERROR_VARIABLE fr_out
+)
+if(NOT fr_rc EQUAL 0)
+    message(FATAL_ERROR
+        "asan_smoke: flight-recorder ASan run failed (rc=${fr_rc}):\n${fr_out}")
+endif()
 # The fleet battery churns whole WspSystems (kill, image capture,
 # chassis swap) and walks raw store shards during anti-entropy — a
 # use-after-free in the node teardown/reboot cycle would hide exactly
@@ -99,4 +113,4 @@ if(NOT fleet_rc EQUAL 0)
         "asan_smoke: fleet ASan run failed (rc=${fleet_rc}):\n${fleet_out}")
 endif()
 message(STATUS
-    "asan_smoke: salvage + sim-property + conditions + fleet suites clean under ASan")
+    "asan_smoke: salvage + sim-property + conditions + flight-recorder + fleet suites clean under ASan")

@@ -152,9 +152,15 @@ CacheModel::registerRegionView(uint64_t base, uint64_t bytes)
 {
     if (store_ != LineStore::Flat)
         return; // reference store keeps its map; view stays disabled
-    regionBase_ = base & ~(kLineSize - 1);
-    regionSpan_ = (base - regionBase_ + bytes + kLineSize - 1) &
-                  ~(kLineSize - 1);
+    const uint64_t aligned = base & ~(kLineSize - 1);
+    const uint64_t span =
+        (base - aligned + bytes + kLineSize - 1) & ~(kLineSize - 1);
+    // The view is kept exact at the insert/erase funnel and cleared by
+    // dropDirty(), so the same region has nothing to rebuild.
+    if (aligned == regionBase_ && span == regionSpan_)
+        return;
+    regionBase_ = aligned;
+    regionSpan_ = span;
     regionSlots_.assign(regionSpan_ / kLineSize, kNoSlot);
     // Adopt lines already dirty inside the region (the LRU chain
     // enumerates every live slot).

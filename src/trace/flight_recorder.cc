@@ -1,6 +1,7 @@
 #include "trace/flight_recorder.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -198,10 +199,25 @@ frEncodeRecord(const FrRecord &record, std::span<uint8_t> out)
     storeU64(out, 56, crc64(out.first(kCrcSpan)));
 }
 
+/** A never-written slot is all zero, and its stored CRC (0) can never
+ *  match the CRC of 56 zero bytes: rejecting it before the CRC pass
+ *  is the same verdict, bought with one OR over eight words. */
+constexpr std::array<uint8_t, kCrcSpan> kZeroPayload{};
+static_assert(crc64(kZeroPayload) != 0,
+              "an all-zero slot must fail its CRC");
+
 bool
 frDecodeRecord(std::span<const uint8_t> bytes, FrRecord *out)
 {
     if (bytes.size() < kFrRecordBytes)
+        return false;
+    uint64_t any = 0;
+    for (size_t offset = 0; offset < kFrRecordBytes; offset += 8) {
+        uint64_t word;
+        std::memcpy(&word, bytes.data() + offset, sizeof(word));
+        any |= word;
+    }
+    if (any == 0)
         return false;
     if (crc64(bytes.first(kCrcSpan)) != loadU64(bytes, 56))
         return false;
@@ -361,7 +377,7 @@ FlightRecorder::emit(FrEvent event, Category category, uint64_t a0,
 
     mirror_.push_back(record);
     while (mirror_.size() > mirrorCapacity_)
-        mirror_.erase(mirror_.begin());
+        mirror_.pop_front();
 
     if (mode != FrMode::Nvram) {
         // Volatile-only records never reach the ring: break the
@@ -424,7 +440,7 @@ std::vector<FrRecord>
 FlightRecorder::mirror() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return mirror_;
+    return {mirror_.begin(), mirror_.end()};
 }
 
 void

@@ -228,7 +228,7 @@ class FlightRecorder
     uint64_t ringTail_ = 0;
     uint64_t stagedDropped_ = 0;
     std::deque<FrRecord> staged_;
-    std::vector<FrRecord> mirror_;
+    std::deque<FrRecord> mirror_;
     size_t mirrorCapacity_ = kFrDefaultRecords;
 };
 

@@ -80,8 +80,10 @@ FlitTracker::onStore(uint64_t addr, uint64_t len)
                 break;
             }
         }
-        if (!found)
+        if (!found) {
             op.lines.emplace_back(line, ls.lastStoreSeq);
+            ls.ops.push_back(currentOp_);
+        }
         op.persistTick = kNoTick;
     }
 }
@@ -93,7 +95,7 @@ FlitTracker::onWriteback(uint64_t line_base)
     ls.pending = 0;
     ls.lastWritebackSeq = ls.lastStoreSeq;
     ls.lastWritebackTick = now();
-    settleOpsOn(lineBase(line_base));
+    settleOpsOn(ls);
 }
 
 void
@@ -159,19 +161,11 @@ FlitTracker::outstandingLines() const
 }
 
 void
-FlitTracker::settleOpsOn(uint64_t line_base)
+FlitTracker::settleOpsOn(const LineState &ls)
 {
-    for (FlitOp &op : ops_) {
-        if (op.persistTick != kNoTick || op.lines.empty())
-            continue;
-        bool touches = false;
-        for (const auto &entry : op.lines) {
-            if (entry.first == line_base) {
-                touches = true;
-                break;
-            }
-        }
-        if (touches && opPersisted(op))
+    for (uint64_t id : ls.ops) {
+        FlitOp &op = ops_[id];
+        if (op.persistTick == kNoTick && opPersisted(op))
             op.persistTick = now();
     }
 }

@@ -153,12 +153,17 @@ class FlitTracker
          */
         uint64_t lostSeq = 0;
         uint64_t wbAtLoss = 0;
+
+        /** Ids of the ops whose lines include this one, in the order
+         *  they first dirtied it (never shrinks, like FlitOp::lines),
+         *  so a write-back settles only the ops it can complete. */
+        std::vector<uint64_t> ops;
     };
 
     Tick now() const { return clock_ ? clock_() : 0; }
 
-    /** Stamp persistTick on ops completed by clearing @p line_base. */
-    void settleOpsOn(uint64_t line_base);
+    /** Stamp persistTick on ops completed by clearing line @p ls. */
+    void settleOpsOn(const LineState &ls);
 
     std::function<Tick()> clock_;
     std::vector<FlitOp> ops_;

@@ -14,7 +14,9 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -136,6 +138,183 @@ TEST(Flit, CoveredPredicateGatesPersistence)
                                   [](uint64_t) { return false; }));
     EXPECT_TRUE(flit.opPersisted(flit.op(id),
                                  [](uint64_t) { return true; }));
+}
+
+/**
+ * The FliT bookkeeping before the per-line op index: every write-back
+ * scans every op, and every line of each op, for ones it completes.
+ * The differential oracle the indexed settle must match exactly.
+ */
+class FlitScanOracle
+{
+  public:
+    explicit FlitScanOracle(const Tick *now) : now_(now) {}
+
+    void declare() { ops_.emplace_back(); }
+
+    void beginApply(uint64_t id) { current_ = id; }
+
+    void endApply()
+    {
+        if (current_ != kNone) {
+            Op &op = ops_[current_];
+            if (op.persistTick == util::kNoTick && persisted(op))
+                op.persistTick = *now_;
+        }
+        current_ = kNone;
+    }
+
+    void store(uint64_t addr, uint64_t len)
+    {
+        for (uint64_t line = addr & ~63ull;
+             line <= ((addr + len - 1) & ~63ull); line += 64) {
+            Line &ls = lines_[line];
+            ls.lastStoreSeq = ++storeSeq_;
+            if (current_ == kNone)
+                continue;
+            Op &op = ops_[current_];
+            auto it = std::find_if(
+                op.lines.begin(), op.lines.end(),
+                [line](const auto &e) { return e.first == line; });
+            if (it == op.lines.end())
+                op.lines.emplace_back(line, ls.lastStoreSeq);
+            else
+                it->second = ls.lastStoreSeq;
+            op.persistTick = util::kNoTick;
+        }
+    }
+
+    void writeback(uint64_t line)
+    {
+        Line &ls = lines_[line];
+        ls.lastWritebackSeq = ls.lastStoreSeq;
+        for (Op &op : ops_) {
+            if (op.persistTick != util::kNoTick)
+                continue;
+            const bool touches = std::any_of(
+                op.lines.begin(), op.lines.end(),
+                [line](const auto &e) { return e.first == line; });
+            if (touches && persisted(op))
+                op.persistTick = *now_;
+        }
+    }
+
+    void lose(uint64_t line)
+    {
+        Line &ls = lines_[line];
+        ls.wbAtLoss = ls.lastWritebackSeq;
+        ls.lostSeq = ls.lastStoreSeq;
+    }
+
+    Tick persistTick(uint64_t id) const { return ops_[id].persistTick; }
+
+  private:
+    static constexpr uint64_t kNone = ~0ull;
+
+    struct Line
+    {
+        uint64_t lastStoreSeq = 0, lastWritebackSeq = 0;
+        uint64_t lostSeq = 0, wbAtLoss = 0;
+    };
+    struct Op
+    {
+        Tick persistTick = util::kNoTick;
+        std::vector<std::pair<uint64_t, uint64_t>> lines;
+    };
+
+    bool persisted(const Op &op)
+    {
+        for (const auto &[line, seq] : op.lines) {
+            const Line &ls = lines_[line];
+            if (ls.lastWritebackSeq < seq ||
+                (seq > ls.wbAtLoss && seq <= ls.lostSeq))
+                return false;
+        }
+        return true;
+    }
+
+    const Tick *now_;
+    std::vector<Op> ops_;
+    std::map<uint64_t, Line> lines_;
+    uint64_t current_ = kNone;
+    uint64_t storeSeq_ = 0;
+};
+
+TEST(Flit, IndexedSettleMatchesAllOpsScanAcrossSeeds)
+{
+    constexpr int kSeeds = 24;
+    constexpr int kEvents = 600;
+    constexpr uint64_t kLines = 12;
+    size_t settled = 0;
+    for (int trial = 0; trial < kSeeds; ++trial) {
+        Rng rng(wsp::testing::testSeed(0xf117 + static_cast<uint64_t>(trial)));
+        Tick now = 0;
+        util::FlitTracker flit;
+        flit.setClock([&now]() { return now; });
+        FlitScanOracle oracle(&now);
+        uint64_t declared = 0;
+        bool applying = false;
+        for (int event = 0; event < kEvents; ++event) {
+            now += 1 + rng.next(5);
+            const uint64_t line = rng.next(kLines) * 64;
+            switch (rng.next(7)) {
+              case 0:
+                flit.declareOp(0, rng.next(16), rng());
+                oracle.declare();
+                ++declared;
+                break;
+              case 1:
+                if (applying) {
+                    flit.endApply();
+                    oracle.endApply();
+                    applying = false;
+                } else if (declared > 0) {
+                    // Any declared op, so ops are re-applied too.
+                    const uint64_t id = rng.next(declared);
+                    flit.beginApply(id);
+                    oracle.beginApply(id);
+                    applying = true;
+                }
+                break;
+              case 2:
+              case 3: {
+                // 1-3 lines from an arbitrary offset in the first.
+                const uint64_t span = 1 + rng.next(3);
+                const uint64_t addr = line + rng.next(64);
+                const uint64_t end = line + (span - 1) * 64 + rng.next(64);
+                const uint64_t len = end >= addr ? end - addr + 1 : 1;
+                flit.onStore(addr, len);
+                oracle.store(addr, len);
+                break;
+              }
+              case 4:
+              case 5:
+                flit.onWriteback(line);
+                oracle.writeback(line);
+                break;
+              default:
+                if (rng.next(3) == 0) {
+                    flit.onLineLost(line);
+                    oracle.lose(line);
+                } else if (declared > 0) {
+                    flit.respond(rng.next(declared), rng.next(2) == 1,
+                                 rng());
+                }
+                break;
+            }
+            ASSERT_EQ(flit.ops().size(), declared);
+            for (uint64_t id = 0; id < declared; ++id) {
+                ASSERT_EQ(flit.ops()[id].persistTick,
+                          oracle.persistTick(id))
+                    << "seed trial " << trial << " event " << event
+                    << " op " << id;
+            }
+        }
+        for (const util::FlitOp &op : flit.ops())
+            settled += op.persistTick != util::kNoTick;
+    }
+    // The walk must actually settle ops, not only compare kNoTick.
+    EXPECT_GT(settled, static_cast<size_t>(kSeeds));
 }
 
 // Checker unit tests ---------------------------------------------------

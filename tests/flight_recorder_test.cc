@@ -379,8 +379,83 @@ TEST_F(FlightRecorderTest, RestartContiguityAfterColdBoot)
 
 TEST_F(FlightRecorderTest, MirrorCapBoundsMemory)
 {
-    emitN(static_cast<unsigned>(4 * kCap));
-    EXPECT_EQ(FlightRecorder::instance().mirror().size(), kCap);
+    // Several wraps: the mirror keeps exactly the newest kCap records,
+    // oldest first, with their payloads intact.
+    const unsigned emitted = static_cast<unsigned>(4 * kCap + 5);
+    emitN(emitted);
+    const auto mirrored = FlightRecorder::instance().mirror();
+    ASSERT_EQ(mirrored.size(), kCap);
+    EXPECT_EQ(mirrored.back().seq + 1,
+              FlightRecorder::instance().totalEmitted());
+    for (size_t k = 0; k < mirrored.size(); ++k) {
+        const uint64_t i = emitted - kCap + k;
+        EXPECT_EQ(mirrored[k].seq, mirrored.front().seq + k);
+        EXPECT_EQ(mirrored[k].event, FrEvent::KvBatch);
+        EXPECT_EQ(mirrored[k].a0, i);
+        EXPECT_EQ(mirrored[k].a1, i * 10);
+    }
+}
+
+TEST_F(FlightRecorderTest, DecodeClassifiesEverySlotKind)
+{
+    // One ring holding every slot kind at once:
+    //   slots 0..5   stale residue of generation 7 (seqs s..s+5)
+    //   slots 6..8   the published window, generation 8; slot 7 torn
+    //   slot  9      the in-flight tail (seq == head, unpublished)
+    //   slots 10..15 never written (all zero)
+    auto &recorder = FlightRecorder::instance();
+    // Sequence numbers are process-wide: burn volatile-only ones until
+    // the next record lands in slot 0.
+    recorder.setMode(FrMode::Volatile);
+    emitN(static_cast<unsigned>((kCap - recorder.totalEmitted() % kCap) %
+                                kCap));
+    recorder.setMode(FrMode::Nvram);
+    emitN(6);
+    recorder.setGeneration(this, 8);
+    recorder.restartContiguity(this);
+    emitN(3);
+    const FrDecodeResult clean = decode();
+    ASSERT_TRUE(clean.sound());
+    const uint64_t head = clean.headSeq;
+    ASSERT_EQ(head % kCap, 9u);
+    ASSERT_EQ(head - clean.tailSeq, 3u);
+
+    FrRecord inflight;
+    inflight.seq = head;
+    inflight.generation = 8;
+    inflight.event = FrEvent::SaveHalt;
+    uint8_t line[kFrRecordBytes];
+    frEncodeRecord(inflight, line);
+    std::memcpy(nvram_.data() + kBase + 9 * kFrRecordBytes, line,
+                kFrRecordBytes);
+    nvram_[kBase + 7 * kFrRecordBytes + 40] ^= 0x01;
+
+    const FrDecodeResult result = decode();
+    ASSERT_TRUE(result.headerValid);
+    EXPECT_FALSE(result.sound());
+    ASSERT_EQ(result.records.size(), 2u);
+    EXPECT_EQ(result.records[0].seq, head - 3);
+    EXPECT_EQ(result.records[0].a0, 0u);
+    EXPECT_EQ(result.records[0].generation, 8u);
+    EXPECT_EQ(result.records[1].seq, head - 1);
+    EXPECT_EQ(result.records[1].a0, 2u);
+    EXPECT_EQ(result.tornSlots, 1u);
+    EXPECT_EQ(result.staleSlots, 6u); // zero slots count as neither
+    EXPECT_EQ(result.unsavedSlots, 0u);
+    EXPECT_TRUE(result.unpublishedTail);
+
+    // A save torn at slot 8 refuses everything below it: the window's
+    // lower two slots become unsaved, not torn, and the residue is
+    // unreadable rather than stale.
+    const FrDecodeResult partial =
+        frDecode(reader(kBase + 8 * kFrRecordBytes), headerAddr());
+    EXPECT_TRUE(partial.sound());
+    ASSERT_EQ(partial.records.size(), 1u);
+    EXPECT_EQ(partial.records[0].seq, head - 1);
+    EXPECT_EQ(partial.tornSlots, 0u);
+    EXPECT_EQ(partial.staleSlots, 0u);
+    EXPECT_EQ(partial.unsavedSlots, 2u);
+    EXPECT_TRUE(partial.unpublishedTail);
 }
 
 } // namespace

@@ -23,6 +23,7 @@
 #include "load/traffic_plane.h"
 #include "machine/cache.h"
 #include "test_seed.h"
+#include "util/rng.h"
 #include "util/stats.h"
 #include "util/thread_pool.h"
 #include "util/units.h"
@@ -464,6 +465,107 @@ struct RegionViewFixture : ::testing::Test
     NvdimmModule dimm;
     NvramSpace space;
 };
+
+/**
+ * A viewed cache and a plain hash-path twin, each over its own NVRAM,
+ * driven in lockstep: every read through either cache, every NVRAM
+ * word and the dirty-line count must agree.
+ */
+struct RegionViewTwins : RegionViewFixture
+{
+    static constexpr uint64_t kLines = 48; ///< address range, in lines
+
+    RegionViewTwins()
+        : twinDimm(queue, "twin", dimm.config()),
+          viewed("viewed", 8 * CacheModel::kLineSize, CacheTiming{},
+                 space),
+          twin("twin", 8 * CacheModel::kLineSize, CacheTiming{},
+               twinSpace)
+    {
+        twinSpace.addModule(twinDimm);
+    }
+
+    void write(uint64_t addr, uint64_t value)
+    {
+        viewed.writeU64(addr, value);
+        twin.writeU64(addr, value);
+    }
+
+    void expectAgree(const char *where)
+    {
+        ASSERT_EQ(viewed.dirtyLines(), twin.dirtyLines()) << where;
+        for (uint64_t addr = 0; addr < kLines * CacheModel::kLineSize;
+             addr += 8) {
+            ASSERT_EQ(viewed.readU64(addr), twin.readU64(addr))
+                << where << " at " << addr;
+            ASSERT_EQ(space.readU64(addr), twinSpace.readU64(addr))
+                << where << " NVRAM at " << addr;
+        }
+    }
+
+    NvdimmModule twinDimm;
+    NvramSpace twinSpace;
+    CacheModel viewed;
+    CacheModel twin;
+};
+
+TEST_F(RegionViewTwins, SameRegionReRegistrationKeepsTheViewExact)
+{
+    // Re-registering the identical region is the crash checker's
+    // per-op pattern; it must leave a view that still tracks writes,
+    // flushes, evictions (8-line cache) and dropDirty exactly.
+    const uint64_t region = 32 * CacheModel::kLineSize;
+    viewed.registerRegionView(0, region);
+    Rng rng(testSeed(0x5e61));
+    for (int step = 0; step < 400; ++step) {
+        const uint64_t addr = rng.next(kLines * 8) * 8;
+        switch (rng.next(8)) {
+          case 0:
+            viewed.flushLine(addr);
+            twin.flushLine(addr);
+            break;
+          case 1:
+            if (rng.next(4) == 0) {
+                viewed.dropDirty();
+                twin.dropDirty();
+            }
+            break;
+          default:
+            write(addr, rng());
+            break;
+        }
+        // Unaligned spellings of the same aligned region count too.
+        viewed.registerRegionView(step % 2 ? 0 : 8, region - 8);
+        expectAgree("after re-registration");
+    }
+}
+
+TEST_F(RegionViewTwins, SwitchingRegionsAndBackRebuildsTheView)
+{
+    const uint64_t lines16 = 16 * CacheModel::kLineSize;
+    const uint64_t a = 0;
+    const uint64_t b = 24 * CacheModel::kLineSize;
+    viewed.registerRegionView(a, lines16);
+    write(a + 64, 1);
+    write(b + 64, 2);
+    expectAgree("A");
+    viewed.registerRegionView(b, lines16);
+    // Dirtied while B is registered: A's view must adopt these when
+    // it comes back, and forget the line flushed meanwhile.
+    write(a + 128, 3);
+    write(b + 128, 4);
+    viewed.flushLine(a + 64);
+    twin.flushLine(a + 64);
+    expectAgree("B");
+    viewed.registerRegionView(a, lines16);
+    expectAgree("A again");
+    write(a + 128, 5);
+    viewed.flushLine(a + 128);
+    twin.flushLine(a + 128);
+    write(b + 192, 6);
+    expectAgree("A again, after traffic");
+    EXPECT_EQ(viewed.dirtyLines(), 3u);
+}
 
 TEST_F(RegionViewFixture, RegionViewAgreesWithHashPathEverywhere)
 {

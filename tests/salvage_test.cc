@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -85,7 +87,12 @@ TEST(Crc64, IncrementalMatchesOneShot)
 
     const uint64_t one_shot = crc64(bytes);
     const auto span = std::span<const uint8_t>(bytes);
-    for (size_t split : {size_t{0}, size_t{1}, size_t{333}, bytes.size()}) {
+    // Every split 0..17 puts the cut at each position inside and
+    // across the first two eight-byte words.
+    std::vector<size_t> splits{size_t{333}, bytes.size()};
+    for (size_t split = 0; split <= 17; ++split)
+        splits.push_back(split);
+    for (size_t split : splits) {
         const uint64_t first = crc64(span.first(split));
         EXPECT_EQ(crc64(span.subspan(split), first), one_shot)
             << "split at " << split;
@@ -98,6 +105,52 @@ TEST(Crc64, DetectsSingleBitFlip)
     const uint64_t clean = crc64(bytes);
     bytes[129] ^= 0x10;
     EXPECT_NE(crc64(bytes), clean);
+}
+
+/** Byte-at-a-time CRC-64/XZ straight from the polynomial: the oracle
+ *  the table-driven kernel must reproduce exactly. */
+uint64_t
+crc64Reference(std::span<const uint8_t> bytes, uint64_t crc = 0)
+{
+    crc = ~crc;
+    for (uint8_t byte : bytes) {
+        crc ^= byte;
+        for (int bit = 0; bit < 8; ++bit)
+            crc = (crc >> 1) ^ ((crc & 1) ? 0xc96c5795d7870f42ull : 0);
+    }
+    return ~crc;
+}
+
+constexpr std::array<uint8_t, 9> kCheckInput{'1', '2', '3', '4', '5',
+                                             '6', '7', '8', '9'};
+// The published CRC-64/XZ check value, computed at compile time.
+static_assert(crc64(kCheckInput) == 0x995DC9BBDF1939FAull);
+
+TEST(Crc64, KnownAnswerCheckValue)
+{
+    EXPECT_EQ(crc64(kCheckInput), 0x995DC9BBDF1939FAull);
+    EXPECT_EQ(crc64Reference(kCheckInput), 0x995DC9BBDF1939FAull);
+}
+
+TEST(Crc64, MatchesBytewiseReferenceAtEveryLengthAndAlignment)
+{
+    // Lengths 0..300 from every start offset 0..7 cover the word loop
+    // at each misalignment and every tail length.
+    std::vector<uint8_t> bytes(8 + 300);
+    Rng rng(0xc4c64);
+    for (auto &b : bytes)
+        b = static_cast<uint8_t>(rng());
+    const auto all = std::span<const uint8_t>(bytes);
+    for (size_t offset = 0; offset < 8; ++offset) {
+        for (size_t len = 0; len <= 300; ++len) {
+            const auto span = all.subspan(offset, len);
+            ASSERT_EQ(crc64(span), crc64Reference(span))
+                << "offset " << offset << " length " << len;
+            ASSERT_EQ(crc64(span, 0x0123456789abcdefull),
+                      crc64Reference(span, 0x0123456789abcdefull))
+                << "seeded, offset " << offset << " length " << len;
+        }
+    }
 }
 
 // SalvageDirectory --------------------------------------------------------
