@@ -14,10 +14,8 @@
 # never persisted, so losing it is exactly what the buffered
 # condition forgives. DL caught, BDL forgave: the separation, in CI.
 
-if(NOT SWEEP OR NOT REPLAY OR NOT OUT_DIR)
-    message(FATAL_ERROR
-        "conditions_smoke: SWEEP, REPLAY and OUT_DIR are required")
-endif()
+include(${CMAKE_CURRENT_LIST_DIR}/smoke_run.cmake)
+smoke_require(SWEEP REPLAY OUT_DIR)
 
 file(MAKE_DIRECTORY ${OUT_DIR})
 set(REPLAY_FILE ${OUT_DIR}/ack_before_apply.schedule)
@@ -29,55 +27,18 @@ set(BUG_FLAGS
     --ops=128
     --fail-delay-us=5010)
 
-execute_process(
+smoke_run("durable-linearizability sweep of the ack-before-apply bug"
+    EXPECT 3 MATCHES "durable-lin" CREATES ${REPLAY_FILE}
     COMMAND ${SWEEP} ${BUG_FLAGS}
         --stop-on-first
         --points=80
-        --replay-out=${REPLAY_FILE}
-    RESULT_VARIABLE sweep_rc
-    OUTPUT_VARIABLE sweep_out
-    ERROR_VARIABLE sweep_out
-)
-if(NOT sweep_rc EQUAL 3)
-    message(FATAL_ERROR
-        "conditions_smoke: expected the sweep to catch the "
-        "ack-before-apply bug (rc=3), got rc=${sweep_rc}:\n${sweep_out}")
-endif()
-if(NOT sweep_out MATCHES "durable-lin")
-    message(FATAL_ERROR
-        "conditions_smoke: the violation did not name durable "
-        "linearizability:\n${sweep_out}")
-endif()
-if(NOT EXISTS ${REPLAY_FILE})
-    message(FATAL_ERROR
-        "conditions_smoke: sweep did not write ${REPLAY_FILE}:\n${sweep_out}")
-endif()
-
-execute_process(
-    COMMAND ${REPLAY} ${REPLAY_FILE}
-    RESULT_VARIABLE replay_rc
-    OUTPUT_VARIABLE replay_out
-    ERROR_VARIABLE replay_out
-)
-if(NOT replay_rc EQUAL 2)
-    message(FATAL_ERROR
-        "conditions_smoke: expected the replay to reproduce the "
-        "violation (rc=2), got rc=${replay_rc}:\n${replay_out}")
-endif()
-
-execute_process(
+        --replay-out=${REPLAY_FILE})
+smoke_run("replay of the violation" EXPECT 2
+    COMMAND ${REPLAY} ${REPLAY_FILE})
+smoke_run("buffered-only sweep of the same schedule"
     COMMAND ${SWEEP} ${BUG_FLAGS}
         --condition=buffered
-        --points=40
-    RESULT_VARIABLE bdl_rc
-    OUTPUT_VARIABLE bdl_out
-    ERROR_VARIABLE bdl_out
-)
-if(NOT bdl_rc EQUAL 0)
-    message(FATAL_ERROR
-        "conditions_smoke: expected the buffered-only sweep of the "
-        "same schedule to hold (rc=0), got rc=${bdl_rc}:\n${bdl_out}")
-endif()
+        --points=40)
 message(STATUS
     "conditions_smoke: ack bug caught by DL, minimized, replayed; "
     "buffered sweep forgave it")

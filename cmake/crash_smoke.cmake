@@ -9,43 +9,19 @@
 # failing schedule, and write a replay file; crash_replay must then
 # reproduce the violation from that file (exit 2).
 
-if(NOT SWEEP OR NOT REPLAY OR NOT OUT_DIR)
-    message(FATAL_ERROR "crash_smoke: SWEEP, REPLAY and OUT_DIR are required")
-endif()
+include(${CMAKE_CURRENT_LIST_DIR}/smoke_run.cmake)
+smoke_require(SWEEP REPLAY OUT_DIR)
 
 file(MAKE_DIRECTORY ${OUT_DIR})
 set(REPLAY_FILE ${OUT_DIR}/broken_marker.schedule)
 file(REMOVE ${REPLAY_FILE})
 
-execute_process(
+smoke_run("sweep of the broken save order" EXPECT 3 CREATES ${REPLAY_FILE}
     COMMAND ${SWEEP}
         --broken-marker
         --stop-on-first
         --points=80
-        --replay-out=${REPLAY_FILE}
-    RESULT_VARIABLE sweep_rc
-    OUTPUT_VARIABLE sweep_out
-    ERROR_VARIABLE sweep_out
-)
-if(NOT sweep_rc EQUAL 3)
-    message(FATAL_ERROR
-        "crash_smoke: expected the sweep to catch the broken save "
-        "order (rc=3), got rc=${sweep_rc}:\n${sweep_out}")
-endif()
-if(NOT EXISTS ${REPLAY_FILE})
-    message(FATAL_ERROR
-        "crash_smoke: sweep did not write ${REPLAY_FILE}:\n${sweep_out}")
-endif()
-
-execute_process(
-    COMMAND ${REPLAY} ${REPLAY_FILE}
-    RESULT_VARIABLE replay_rc
-    OUTPUT_VARIABLE replay_out
-    ERROR_VARIABLE replay_out
-)
-if(NOT replay_rc EQUAL 2)
-    message(FATAL_ERROR
-        "crash_smoke: expected the replay to reproduce the violation "
-        "(rc=2), got rc=${replay_rc}:\n${replay_out}")
-endif()
+        --replay-out=${REPLAY_FILE})
+smoke_run("replay of the violation" EXPECT 2
+    COMMAND ${REPLAY} ${REPLAY_FILE})
 message(STATUS "crash_smoke: broken order caught, minimized, replayed")

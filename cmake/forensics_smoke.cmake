@@ -9,56 +9,20 @@
 # decode a sound ring, export a Chrome trace, and diff the image
 # against itself without reporting differences.
 
-if(NOT SWEEP OR NOT INSPECT OR NOT OUT_DIR)
-    message(FATAL_ERROR
-        "forensics_smoke: SWEEP, INSPECT and OUT_DIR are required")
-endif()
+include(${CMAKE_CURRENT_LIST_DIR}/smoke_run.cmake)
+smoke_require(SWEEP INSPECT OUT_DIR)
 
 file(MAKE_DIRECTORY ${OUT_DIR})
 set(IMAGE_FILE ${OUT_DIR}/smoke_image.wspimg)
 set(TRACE_FILE ${OUT_DIR}/smoke_blackbox_trace.json)
 
-execute_process(
-    COMMAND ${SWEEP} --points=16 --image-out=${IMAGE_FILE}
-    RESULT_VARIABLE sweep_rc
-    OUTPUT_VARIABLE sweep_out
-    ERROR_VARIABLE sweep_out
-)
-if(NOT sweep_rc EQUAL 0)
-    message(FATAL_ERROR
-        "forensics_smoke: sweep failed (rc=${sweep_rc}):\n${sweep_out}")
-endif()
-if(NOT EXISTS ${IMAGE_FILE})
-    message(FATAL_ERROR
-        "forensics_smoke: sweep did not write ${IMAGE_FILE}")
-endif()
-
+smoke_run("sweep" CREATES ${IMAGE_FILE}
+    COMMAND ${SWEEP} --points=16 --image-out=${IMAGE_FILE})
 # Decode: the image of a held sweep must contain a valid, sound ring.
-execute_process(
+smoke_run("decode" CREATES ${TRACE_FILE}
     COMMAND ${INSPECT} --image=${IMAGE_FILE} --require-header
-        --trace-out=${TRACE_FILE}
-    RESULT_VARIABLE inspect_rc
-    OUTPUT_VARIABLE inspect_out
-    ERROR_VARIABLE inspect_out
-)
-if(NOT inspect_rc EQUAL 0)
-    message(FATAL_ERROR
-        "forensics_smoke: decode failed (rc=${inspect_rc}):\n${inspect_out}")
-endif()
-if(NOT EXISTS ${TRACE_FILE})
-    message(FATAL_ERROR
-        "forensics_smoke: inspect did not write ${TRACE_FILE}")
-endif()
-
+        --trace-out=${TRACE_FILE})
 # Diff: an image diffed against itself reports no differences.
-execute_process(
-    COMMAND ${INSPECT} --image=${IMAGE_FILE} --diff=${IMAGE_FILE} --quiet
-    RESULT_VARIABLE diff_rc
-    OUTPUT_VARIABLE diff_out
-    ERROR_VARIABLE diff_out
-)
-if(NOT diff_rc EQUAL 0)
-    message(FATAL_ERROR
-        "forensics_smoke: self-diff failed (rc=${diff_rc}):\n${diff_out}")
-endif()
+smoke_run("self-diff"
+    COMMAND ${INSPECT} --image=${IMAGE_FILE} --diff=${IMAGE_FILE} --quiet)
 message(STATUS "forensics_smoke: decode + trace export + self-diff OK")

@@ -1,11 +1,9 @@
 # Threaded-serving perf gate, run as a ctest:
 #
-#   cmake -DSOURCE_DIR=<repo> -DOUT_DIR=<dir> -P kv_throughput_smoke.cmake
+#   cmake -DBENCH=<kv_throughput> -DSUMMARY=<bench_summary> \
+#         -DOUT_DIR=<dir> -P kv_throughput_smoke.cmake
 #
-# Configures the shared -O2 (CMAKE_BUILD_TYPE=Release) sub-build,
-# builds the kv_throughput bench and the bench_summary collator, then:
-#
-#  1. runs the bench — its own shape check asserts the dispatch-arm
+#  1. Runs the bench — its own shape check asserts the dispatch-arm
 #     ratio (rings vs per-op mutex; >= 5x with real cores, the honest
 #     single-core floor otherwise), the exact sequential-replay
 #     equivalence, and determinism;
@@ -13,38 +11,9 @@
 #     with `bench_summary --gate`, so the regression-gate plumbing
 #     itself is exercised end to end (two back-to-back runs of the
 #     same binary must sit well inside the allowed drop).
-#
-# The sub-build directory persists across runs, so re-runs are
-# incremental.
 
-if(NOT SOURCE_DIR OR NOT OUT_DIR)
-    message(FATAL_ERROR "kv_throughput_smoke: SOURCE_DIR and OUT_DIR are required")
-endif()
-
-file(MAKE_DIRECTORY ${OUT_DIR})
-execute_process(
-    COMMAND ${CMAKE_COMMAND} -G Ninja -S ${SOURCE_DIR} -B ${OUT_DIR}
-        -DCMAKE_BUILD_TYPE=Release
-    RESULT_VARIABLE configure_rc
-    OUTPUT_VARIABLE configure_out
-    ERROR_VARIABLE configure_out
-)
-if(NOT configure_rc EQUAL 0)
-    message(FATAL_ERROR
-        "kv_throughput_smoke: configure failed (rc=${configure_rc}):\n${configure_out}")
-endif()
-
-execute_process(
-    COMMAND ${CMAKE_COMMAND} --build ${OUT_DIR}
-        --target bench_kv_throughput bench_summary
-    RESULT_VARIABLE build_rc
-    OUTPUT_VARIABLE build_out
-    ERROR_VARIABLE build_out
-)
-if(NOT build_rc EQUAL 0)
-    message(FATAL_ERROR
-        "kv_throughput_smoke: build failed (rc=${build_rc}):\n${build_out}")
-endif()
+include(${CMAKE_CURRENT_LIST_DIR}/smoke_run.cmake)
+smoke_require(BENCH SUMMARY OUT_DIR)
 
 # Fresh record dir per ctest invocation: the gate below must compare
 # exactly this pair of runs, not whatever history earlier invocations
@@ -54,32 +23,15 @@ file(REMOVE_RECURSE ${RECORD_DIR})
 file(MAKE_DIRECTORY ${RECORD_DIR})
 
 foreach(run RANGE 1 2)
-    execute_process(
-        COMMAND ${OUT_DIR}/bench/kv_throughput
-            --metrics-out=${RECORD_DIR}/metrics_${run}.json
-        RESULT_VARIABLE run_rc
-        OUTPUT_VARIABLE run_out
-        ERROR_VARIABLE run_out
-    )
-    if(NOT run_rc EQUAL 0)
-        message(FATAL_ERROR
-            "kv_throughput_smoke: bench shape check failed on run ${run} (rc=${run_rc}):\n${run_out}")
-    endif()
+    smoke_run("bench shape check on run ${run}"
+        COMMAND ${BENCH} --metrics-out=${RECORD_DIR}/metrics_${run}.json)
 endforeach()
 
 # Back-to-back runs of the same binary on the same host: the dispatch
 # ratio must hold within generous noise (the bench's own shape check
 # already enforced the absolute floor twice above).
-execute_process(
-    COMMAND ${OUT_DIR}/tools/bench_summary ${RECORD_DIR}
-        --gate=bench.kv_throughput.ratio_vs_perop:40
-    RESULT_VARIABLE gate_rc
-    OUTPUT_VARIABLE gate_out
-    ERROR_VARIABLE gate_out
-)
-if(NOT gate_rc EQUAL 0)
-    message(FATAL_ERROR
-        "kv_throughput_smoke: bench_summary gate failed (rc=${gate_rc}):\n${gate_out}")
-endif()
+smoke_run("bench_summary gate"
+    COMMAND ${SUMMARY} ${RECORD_DIR}
+        --gate=bench.kv_throughput.ratio_vs_perop:40)
 message(STATUS
-    "kv_throughput_smoke: dispatch-arm shape checks and trajectory gate clean at -O2")
+    "kv_throughput_smoke: dispatch-arm shape checks and trajectory gate clean")

@@ -14,42 +14,22 @@
 #     corrupt bytes. The NoSilentCorruption checker must catch it
 #     (exit 3).
 
-if(NOT SWEEP OR NOT OUT_DIR)
-    message(FATAL_ERROR "salvage_smoke: SWEEP and OUT_DIR are required")
-endif()
+include(${CMAKE_CURRENT_LIST_DIR}/smoke_run.cmake)
+smoke_require(SWEEP OUT_DIR)
 
 file(MAKE_DIRECTORY ${OUT_DIR})
 
-execute_process(
+smoke_run("salvage-regime sweep"
     COMMAND ${SWEEP}
         --salvage
-        --points=60
-    RESULT_VARIABLE clean_rc
-    OUTPUT_VARIABLE clean_out
-    ERROR_VARIABLE clean_out
-)
-if(NOT clean_rc EQUAL 0)
-    message(FATAL_ERROR
-        "salvage_smoke: expected the salvage-regime sweep to hold "
-        "(rc=0), got rc=${clean_rc}:\n${clean_out}")
-endif()
-
-execute_process(
+        --points=60)
+smoke_run("sweep of the checksum-skipping restore" EXPECT 3
     COMMAND ${SWEEP}
         --salvage
         --media-faults=2
         --media-fault-kind=0
         --trust-directory
         --stop-on-first
-        --points=20
-    RESULT_VARIABLE bug_rc
-    OUTPUT_VARIABLE bug_out
-    ERROR_VARIABLE bug_out
-)
-if(NOT bug_rc EQUAL 3)
-    message(FATAL_ERROR
-        "salvage_smoke: expected the checksum-skipping restore to be "
-        "caught (rc=3), got rc=${bug_rc}:\n${bug_out}")
-endif()
+        --points=20)
 message(STATUS
     "salvage_smoke: salvage sweep held; trust-directory bug caught")

@@ -8,42 +8,18 @@
 # trace_check. Fails the test when the bench exits nonzero, a file is
 # missing, or the JSON shape is wrong.
 
-if(NOT BENCH OR NOT CHECKER OR NOT OUT_DIR)
-    message(FATAL_ERROR "trace_smoke: BENCH, CHECKER and OUT_DIR are required")
-endif()
+include(${CMAKE_CURRENT_LIST_DIR}/smoke_run.cmake)
+smoke_require(BENCH CHECKER OUT_DIR)
 
 file(MAKE_DIRECTORY ${OUT_DIR})
 set(TRACE_FILE ${OUT_DIR}/smoke_trace.json)
 set(METRICS_FILE ${OUT_DIR}/smoke_metrics.json)
 
 set(ENV{WSP_TRACE} all)
-execute_process(
+smoke_run("bench" CREATES ${TRACE_FILE} ${METRICS_FILE}
     COMMAND ${BENCH}
         --trace-out=${TRACE_FILE}
-        --metrics-out=${METRICS_FILE}
-    RESULT_VARIABLE bench_rc
-    OUTPUT_VARIABLE bench_out
-    ERROR_VARIABLE bench_out
-)
-if(NOT bench_rc EQUAL 0)
-    message(FATAL_ERROR
-        "trace_smoke: bench failed (rc=${bench_rc}):\n${bench_out}")
-endif()
-
-foreach(emitted ${TRACE_FILE} ${METRICS_FILE})
-    if(NOT EXISTS ${emitted})
-        message(FATAL_ERROR "trace_smoke: bench did not write ${emitted}")
-    endif()
-endforeach()
-
-execute_process(
-    COMMAND ${CHECKER} --trace=${TRACE_FILE} --metrics=${METRICS_FILE}
-    RESULT_VARIABLE check_rc
-    OUTPUT_VARIABLE check_out
-    ERROR_VARIABLE check_out
-)
-if(NOT check_rc EQUAL 0)
-    message(FATAL_ERROR
-        "trace_smoke: validation failed (rc=${check_rc}):\n${check_out}")
-endif()
-message(STATUS "trace_smoke: ${check_out}")
+        --metrics-out=${METRICS_FILE})
+smoke_run("validation"
+    COMMAND ${CHECKER} --trace=${TRACE_FILE} --metrics=${METRICS_FILE})
+message(STATUS "trace_smoke: trace and metrics JSON valid")

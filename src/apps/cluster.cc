@@ -24,17 +24,6 @@ correlatedOutage(const ClusterConfig &config)
     // across servers and across modules within a server; only the
     // stale tail of updates comes from the back end, and even in a
     // storm that traffic is tiny.
-    NvdimmConfig module = config.nvdimm;
-    module.capacityBytes = std::max<uint64_t>(module.capacityBytes, 1);
-    const double restore_bw =
-        module.channelRestoreBw *
-        std::max(1u, module.flashChannels == 0
-                         ? static_cast<unsigned>(
-                               (module.capacityBytes + kGiB - 1) / kGiB)
-                         : module.flashChannels);
-    const Tick module_restore = fromSeconds(
-        static_cast<double>(module.capacityBytes) / restore_bw);
-
     const auto stale_bytes = static_cast<uint64_t>(
         config.staleFraction *
         static_cast<double>(config.memoryPerServer));
@@ -42,11 +31,26 @@ correlatedOutage(const ClusterConfig &config)
         backend.recoveryTime(stale_bytes, config.servers);
 
     report.wspRecovery =
-        config.wspBootOverhead + module_restore + stale_fetch;
+        config.wspBootOverhead + nvdimmRestoreTime(config.nvdimm) +
+        stale_fetch;
     report.speedup =
         static_cast<double>(report.backendRecovery) /
         static_cast<double>(std::max<Tick>(report.wspRecovery, 1));
     return report;
+}
+
+Tick
+nvdimmRestoreTime(NvdimmConfig module)
+{
+    module.capacityBytes = std::max<uint64_t>(module.capacityBytes, 1);
+    const double restore_bw =
+        module.channelRestoreBw *
+        std::max(1u, module.flashChannels == 0
+                         ? static_cast<unsigned>(
+                               (module.capacityBytes + kGiB - 1) / kGiB)
+                         : module.flashChannels);
+    return fromSeconds(static_cast<double>(module.capacityBytes) /
+                       restore_bw);
 }
 
 Tick

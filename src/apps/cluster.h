@@ -51,6 +51,14 @@ struct StormReport
 StormReport correlatedOutage(const ClusterConfig &config);
 
 /**
+ * Time for one server's NVDIMM to restore its whole capacity from
+ * flash: one channel per GiB in parallel unless the module names its
+ * channel count. Both the closed-form storm and the fleet's modelled
+ * boot use this, so they agree exactly.
+ */
+Tick nvdimmRestoreTime(NvdimmConfig module);
+
+/**
  * Replica-management tradeoff (paper section 6, "Long outages"):
  * when one replica of a state-machine-replicated service fails, the
  * system can immediately re-instantiate a fresh replica (full state

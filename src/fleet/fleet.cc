@@ -324,20 +324,8 @@ Fleet::analytic() const
 Tick
 Fleet::modeledBootAndRestore() const
 {
-    // Same module math as apps::correlatedOutage: flash restore runs
-    // one channel per GiB in parallel.
-    const apps::ClusterConfig cluster = analytic();
-    NvdimmConfig module = cluster.nvdimm;
-    module.capacityBytes = std::max<uint64_t>(module.capacityBytes, 1);
-    const double restore_bw =
-        module.channelRestoreBw *
-        std::max(1u, module.flashChannels == 0
-                         ? static_cast<unsigned>(
-                               (module.capacityBytes + kGiB - 1) / kGiB)
-                         : module.flashChannels);
     return config_.wspBootOverhead +
-           fromSeconds(static_cast<double>(module.capacityBytes) /
-                       restore_bw);
+           apps::nvdimmRestoreTime(analytic().nvdimm);
 }
 
 Tick
@@ -672,12 +660,10 @@ Fleet::repairNode(FleetNode &target)
         // digest matches (and the backend fallback agrees for keys
         // with no Up peer), the shard streams nothing.
         bool divergent = false;
-        std::vector<uint32_t> peers;
         for (const auto &peer : nodes_) {
             if (peer->id() == target_id || !peer->up() ||
                 !peer->serving())
                 continue;
-            peers.push_back(peer->id());
             const auto shared = [&](uint64_t key) {
                 return assignedTo(key, target_id) &&
                        assignedTo(key, peer->id());
@@ -688,41 +674,24 @@ Fleet::repairNode(FleetNode &target)
                 divergent = true;
         }
 
-        // Authority for this shard's keys: Up peers where available,
-        // the backend (acked-write log) where not.
+        // Authority for this shard's keys. Up peers carry exactly the
+        // acked history for their keys (live replicas never diverge)
+        // and the backend's acked-write log covers the rest, so the
+        // authoritative value is the model's either way.
         std::map<uint64_t, uint64_t> authority;
-        for (const auto &[key, value] : model_) {
-            if (target.shardOf(key) != shard || !owned_by_target(key))
-                continue;
-            bool peer_covered = false;
-            for (uint32_t peer : peers)
-                if (assignedTo(key, peer)) {
-                    peer_covered = true;
-                    break;
-                }
-            // Up peers carry exactly the acked history for their keys
-            // (live replicas never diverge), so the authoritative
-            // value is the model's either way; peer coverage only
-            // decides who the bytes stream from.
-            (void)peer_covered;
-            authority.emplace(key, value);
-        }
+        for (const auto &[key, value] : model_)
+            if (target.shardOf(key) == shard && owned_by_target(key))
+                authority.emplace(key, value);
 
-        if (!divergent) {
-            // Peers matched; still verify the backend-covered keys.
-            const auto current =
-                target.collectShard(shard, owned_by_target);
-            std::map<uint64_t, uint64_t> current_map(current.begin(),
-                                                     current.end());
-            if (current_map == authority)
-                continue;
-        }
+        const auto current = target.collectShard(shard, owned_by_target);
+        const std::map<uint64_t, uint64_t> current_map(current.begin(),
+                                                       current.end());
+        // Peers matched; the backend-covered keys must match too.
+        if (!divergent && current_map == authority)
+            continue;
 
         // Stream only this shard's missed updates.
         uint64_t shard_streamed = 0;
-        const auto current = target.collectShard(shard, owned_by_target);
-        std::map<uint64_t, uint64_t> current_map(current.begin(),
-                                                 current.end());
         for (const auto &[key, value] : authority) {
             const auto it = current_map.find(key);
             if (it == current_map.end() || it->second != value) {

@@ -532,7 +532,7 @@ frDecode(const FrByteReader &read, uint64_t header_addr)
             }
             if (record.seq < expected) {
                 ++result.staleSlots;
-                char note[96];
+                char note[128]; // fits three 20-digit counters
                 std::snprintf(note, sizeof(note),
                               "slot %llu holds stale seq %llu where "
                               "%llu was published",
@@ -552,7 +552,7 @@ frDecode(const FrByteReader &read, uint64_t header_addr)
             continue;
         }
         ++result.tornSlots;
-        char note[96];
+        char note[128];
         std::snprintf(note, sizeof(note),
                       "slot %llu torn inside the published window "
                       "(expected seq %llu)",

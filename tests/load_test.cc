@@ -6,8 +6,8 @@
  * arm, back-pressure under deliberately tiny rings, open-loop pacing,
  * the cache region view backing the zero-allocation hot path, and the
  * threaded-vs-modeled fleet storm differential. The whole suite also
- * runs under TSan via cmake/tsan_smoke.cmake — the equivalence tests
- * pass through every ring and drain path, which is the point.
+ * runs under TSan (the tsan_concurrency_smoke ctest) — the equivalence
+ * tests pass through every ring and drain path, which is the point.
  */
 
 #include <gtest/gtest.h>
