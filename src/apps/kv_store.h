@@ -123,10 +123,14 @@ class KvStore
      */
     KvBatchResult applyBatch(std::span<const KvOp> ops);
 
-    /** Sum of all values (full scan); for state verification. */
+    /** Sum of all values (a forEach scan); for state verification. */
     uint64_t checksum() const;
 
-    /** Visit every live (key, value) pair (scan order). */
+    /**
+     * Visit every live (key, value) pair (scan order). The slots are
+     * read a run at a time ahead of their visits, so @p visit must not
+     * mutate the store.
+     */
     void forEach(const std::function<void(uint64_t key, uint64_t value)>
                      &visit) const;
 
@@ -306,7 +310,8 @@ class ShardedKvStore
     /** Live key count per shard (for balance checks). */
     std::vector<uint64_t> shardSizes() const;
 
-    /** Visit every live pair, shard by shard (scan order). */
+    /** Visit every live pair, shard by shard (scan order); @p visit
+     *  must not mutate the store (see KvStore::forEach). */
     void forEach(const std::function<void(uint64_t key, uint64_t value)>
                      &visit) const;
 

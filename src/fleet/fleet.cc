@@ -25,11 +25,30 @@ constexpr uint32_t kStormGetPermille = 400;
 constexpr uint32_t kStormErasePermille = 100;
 constexpr size_t kStormRingFrames = 1024;
 
-bool
-containsNode(const std::vector<uint32_t> &set, uint32_t node)
+/**
+ * Order-independent digest of a key subset of one shard — the
+ * anti-entropy exchange unit. Two nodes digesting the same logical
+ * subset agree iff their surviving contents agree; the commutative
+ * mix makes scan order (which differs between a node that wrote keys
+ * in one order and a peer that replayed them in another) irrelevant.
+ */
+struct ShardDigest
 {
-    return std::find(set.begin(), set.end(), node) != set.end();
-}
+    uint64_t sum = 0;
+    uint64_t count = 0;
+
+    void add(uint64_t key, uint64_t value)
+    {
+        uint64_t h = key * 0x9e3779b97f4a7c15ull ^ value;
+        h ^= h >> 33;
+        h *= 0xff51afd7ed558ccdull;
+        h ^= h >> 33;
+        sum += h;
+        ++count;
+    }
+
+    uint64_t value() const { return sum ^ (count * 0xc4ceb9fe1a85ec53ull); }
+};
 
 } // namespace
 
@@ -89,7 +108,7 @@ Fleet::upNodes() const
 bool
 Fleet::assignedTo(uint64_t key, uint32_t node_id) const
 {
-    return containsNode(ring_.replicaSet(key, effectiveR_), node_id);
+    return (ring_.replicaMask(key, effectiveR_) >> node_id) & 1;
 }
 
 Tick
@@ -117,11 +136,10 @@ Fleet::backoff(unsigned attempt)
 }
 
 void
-Fleet::recordLatency(uint64_t key, Tick latency)
+Fleet::recordLatency(const std::vector<uint32_t> &replicas, Tick latency)
 {
     // Attribute to the key's primary so per-node histograms show
     // which owners ran hot; the fleet-wide view is their merge.
-    const auto replicas = ring_.replicaSet(key, effectiveR_);
     if (replicas.empty())
         return;
     latency_[replicas.front()].add(toSeconds(latency) * 1e3);
@@ -186,7 +204,7 @@ Fleet::applyWrite(uint64_t key, uint64_t value, bool is_erase)
             touched_.insert(key);
             ++stats_.succeeded;
             ++stats_.ackedWrites;
-            recordLatency(key, latency);
+            recordLatency(replicas, latency);
             return true;
         }
 
@@ -201,7 +219,7 @@ Fleet::applyWrite(uint64_t key, uint64_t value, bool is_erase)
 
     ++stats_.failed;
     ++stats_.rejectedWrites;
-    recordLatency(key, latency);
+    recordLatency(replicas, latency);
     return false;
 }
 
@@ -238,7 +256,7 @@ Fleet::clientGet(uint64_t key, uint64_t *value_out)
                 if (degraded_ok)
                     ++stats_.degradedReads;
                 ++stats_.succeeded;
-                recordLatency(key, latency);
+                recordLatency(replicas, latency);
                 const bool found = node.get(key, value_out);
                 return found;
             }
@@ -253,7 +271,7 @@ Fleet::clientGet(uint64_t key, uint64_t *value_out)
     }
 
     ++stats_.failed;
-    recordLatency(key, latency);
+    recordLatency(replicas, latency);
     return false;
 }
 
@@ -649,60 +667,103 @@ Fleet::repairNode(FleetNode &target)
     RepairResult result;
     if (!target.serving())
         return result;
-    const uint32_t target_id = target.id();
-    const auto owned_by_target = [&](uint64_t key) {
-        return assignedTo(key, target_id);
+    const uint64_t target_bit = uint64_t{1} << target.id();
+
+    // Authority, bucketed by shard in one pass over the model. Up
+    // peers carry exactly the acked history for their keys (live
+    // replicas never diverge) and the backend's acked-write log
+    // covers the rest, so the authoritative value is the model's
+    // either way. Each acked key's placement is computed here once;
+    // buckets stay in ascending key order.
+    struct Placed
+    {
+        uint64_t key;
+        uint64_t value;
+        uint64_t mask; ///< replica set, bit i = node i
+    };
+    std::vector<std::vector<Placed>> acked(target.shards());
+    for (const auto &[key, value] : model_)
+        acked[target.shardOf(key)].push_back(
+            {key, value, ring_.replicaMask(key, effectiveR_)});
+    // A held key's placement: the bucket's, else (a key the model no
+    // longer holds) computed afresh.
+    const auto maskOf = [&](const std::vector<Placed> &bucket,
+                            uint64_t key) {
+        const auto it = std::lower_bound(
+            bucket.begin(), bucket.end(), key,
+            [](const Placed &p, uint64_t k) { return p.key < k; });
+        return it != bucket.end() && it->key == key
+                   ? it->mask
+                   : ring_.replicaMask(key, effectiveR_);
     };
 
     for (unsigned shard = 0; shard < target.shards(); ++shard) {
+        const std::vector<Placed> &bucket = acked[shard];
+        // The target's shard, read once: the pairs it is assigned.
+        std::vector<Placed> held;
+        for (const auto &[key, value] : target.collectShard(shard)) {
+            const uint64_t mask = maskOf(bucket, key);
+            if (mask & target_bit)
+                held.push_back({key, value, mask});
+        }
+
         // Digest exchange: compare the target against every Up peer
-        // over the key subset both are assigned; if every pairwise
-        // digest matches (and the backend fallback agrees for keys
-        // with no Up peer), the shard streams nothing.
+        // over the key subset both are assigned, each peer's shard
+        // read once; if every pairwise digest matches (and the
+        // backend fallback agrees for keys with no Up peer), the
+        // shard streams nothing.
         bool divergent = false;
         for (const auto &peer : nodes_) {
-            if (peer->id() == target_id || !peer->up() ||
-                !peer->serving())
+            if (peer.get() == &target || !peer->up() || !peer->serving())
                 continue;
-            const auto shared = [&](uint64_t key) {
-                return assignedTo(key, target_id) &&
-                       assignedTo(key, peer->id());
-            };
+            const uint64_t both = target_bit | uint64_t{1} << peer->id();
+            ShardDigest mine, theirs;
+            for (const Placed &pair : held)
+                if ((pair.mask & both) == both)
+                    mine.add(pair.key, pair.value);
+            for (const auto &[key, value] : peer->collectShard(shard))
+                if ((maskOf(bucket, key) & both) == both)
+                    theirs.add(key, value);
             ++result.digests;
-            if (target.shardDigest(shard, shared) !=
-                peer->shardDigest(shard, shared))
+            if (mine.value() != theirs.value())
                 divergent = true;
         }
 
-        // Authority for this shard's keys. Up peers carry exactly the
-        // acked history for their keys (live replicas never diverge)
-        // and the backend's acked-write log covers the rest, so the
-        // authoritative value is the model's either way.
-        std::map<uint64_t, uint64_t> authority;
-        for (const auto &[key, value] : model_)
-            if (target.shardOf(key) == shard && owned_by_target(key))
-                authority.emplace(key, value);
-
-        const auto current = target.collectShard(shard, owned_by_target);
-        const std::map<uint64_t, uint64_t> current_map(current.begin(),
-                                                       current.end());
+        std::vector<Placed> authority;
+        for (const Placed &pair : bucket)
+            if (pair.mask & target_bit)
+                authority.push_back(pair);
+        std::sort(held.begin(), held.end(),
+                  [](const Placed &a, const Placed &b) {
+                      return a.key < b.key;
+                  });
         // Peers matched; the backend-covered keys must match too.
-        if (!divergent && current_map == authority)
+        const auto same = [](const Placed &a, const Placed &b) {
+            return a.key == b.key && a.value == b.value;
+        };
+        if (!divergent && std::equal(held.begin(), held.end(),
+                                     authority.begin(), authority.end(),
+                                     same))
             continue;
 
-        // Stream only this shard's missed updates.
+        // Stream only this shard's missed updates: puts in ascending
+        // key order, then erases in ascending key order.
         uint64_t shard_streamed = 0;
-        for (const auto &[key, value] : authority) {
-            const auto it = current_map.find(key);
-            if (it == current_map.end() || it->second != value) {
-                target.put(key, value);
+        auto have = held.begin();
+        for (const Placed &want : authority) {
+            while (have != held.end() && have->key < want.key)
+                ++have;
+            if (have == held.end() || !same(*have, want)) {
+                target.put(want.key, want.value);
                 shard_streamed += kPairBytes;
             }
         }
-        for (const auto &[key, value] : current_map) {
-            (void)value;
-            if (!authority.count(key)) {
-                target.erase(key);
+        auto want = authority.begin();
+        for (const Placed &pair : held) {
+            while (want != authority.end() && want->key < pair.key)
+                ++want;
+            if (want == authority.end() || want->key != pair.key) {
+                target.erase(pair.key);
                 shard_streamed += kPairBytes;
             }
         }
@@ -725,10 +786,10 @@ Fleet::decommission(uint32_t id)
 
     // Capture the old placement of every acked key before the ring
     // changes under us.
-    std::vector<std::pair<uint64_t, std::vector<uint32_t>>> old_sets;
+    std::vector<std::pair<uint64_t, uint64_t>> old_masks;
     for (const auto &[key, value] : model_) {
         (void)value;
-        old_sets.emplace_back(key, ring_.replicaSet(key, effectiveR_));
+        old_masks.emplace_back(key, ring_.replicaMask(key, effectiveR_));
     }
 
     ring_.removeNode(id);
@@ -737,11 +798,11 @@ Fleet::decommission(uint32_t id)
 
     // Rendezvous rebalance: only keys that listed the lost node gain
     // a (single) new replica; every other set is untouched.
-    for (const auto &[key, old_set] : old_sets) {
-        if (!containsNode(old_set, id))
+    for (const auto &[key, old_mask] : old_masks) {
+        if (!((old_mask >> id) & 1))
             continue;
         for (uint32_t gained : ring_.replicaSet(key, effectiveR_)) {
-            if (containsNode(old_set, gained))
+            if ((old_mask >> gained) & 1)
                 continue;
             FleetNode &node = *nodes_[gained];
             if (node.live() && node.serving())
@@ -765,7 +826,9 @@ Fleet::checkReplicaConvergence() const
     for (uint64_t key : touched_) {
         const auto expected = model_.find(key);
         const bool should_exist = expected != model_.end();
-        for (uint32_t id : ring_.replicaSet(key, effectiveR_)) {
+        for (uint64_t mask = ring_.replicaMask(key, effectiveR_); mask;
+             mask &= mask - 1) {
+            const auto id = static_cast<uint32_t>(__builtin_ctzll(mask));
             const FleetNode &node = *nodes_[id];
             if (!node.up() || !node.serving())
                 continue;

@@ -311,10 +311,13 @@ class Fleet
         uint64_t digests = 0;
     };
 
+    /** True when @p node_id is in @p key's replica set (a bit test). */
     bool assignedTo(uint64_t key, uint32_t node_id) const;
     Tick serviceDraw();
     Tick backoff(unsigned attempt);
-    void recordLatency(uint64_t key, Tick latency);
+    /** Attribute @p latency to the primary of @p replicas. */
+    void recordLatency(const std::vector<uint32_t> &replicas,
+                       Tick latency);
     void recordCapacity();
     void processEvent(Tick when, const Event &event);
     void oneRequest(double put_fraction);

@@ -165,19 +165,12 @@ class FleetNode
     bool erase(uint64_t key);
     bool get(uint64_t key, uint64_t *value_out = nullptr) const;
 
-    /**
-     * Order-independent digest of shard @p shard restricted to keys
-     * @p owned accepts — the anti-entropy exchange unit. Two nodes
-     * digesting the same logical key subset agree iff their surviving
-     * contents agree.
-     */
-    uint64_t shardDigest(unsigned shard,
-                         const std::function<bool(uint64_t)> &owned) const;
-
-    /** Collect shard @p shard's pairs whose key @p owned accepts. */
+    /** Shard @p shard's live (key, value) pairs, in scan order. */
     std::vector<std::pair<uint64_t, uint64_t>>
-    collectShard(unsigned shard,
-                 const std::function<bool(uint64_t)> &owned) const;
+    collectShard(unsigned shard) const;
+
+    /** ShardedKvStore::checksum() of the whole store. */
+    uint64_t checksum() const;
 
     /** The last boot's restore report (meaningful after reboot()). */
     const RestoreReport &lastRestore() const { return lastRestore_; }

@@ -9,6 +9,8 @@ namespace wsp::fleet {
 void
 RendezvousHash::addNode(uint32_t node)
 {
+    WSP_CHECKF(node < kMaxNodes, "node id %u beyond the placement mask",
+               node);
     const auto it = std::lower_bound(nodes_.begin(), nodes_.end(), node);
     if (it != nodes_.end() && *it == node)
         return;
@@ -45,47 +47,62 @@ RendezvousHash::score(uint32_t node, uint64_t key)
     return h;
 }
 
+unsigned
+RendezvousHash::select(uint64_t key, unsigned r,
+                       uint32_t (&best)[kMaxNodes]) const
+{
+    // Insertion into a best-first array of at most `take` entries.
+    // nodes_ ascends by id, so a strict comparison leaves an equal
+    // score behind the lower id already placed: the tie break.
+    uint64_t scores[kMaxNodes];
+    const auto take =
+        static_cast<unsigned>(std::min<size_t>(r, nodes_.size()));
+    unsigned count = 0;
+    for (uint32_t node : nodes_) {
+        const uint64_t s = score(node, key);
+        unsigned pos = count;
+        while (pos > 0 && s > scores[pos - 1])
+            --pos;
+        if (pos >= take)
+            continue;
+        if (count < take)
+            ++count;
+        for (unsigned i = count - 1; i > pos; --i) {
+            scores[i] = scores[i - 1];
+            best[i] = best[i - 1];
+        }
+        scores[pos] = s;
+        best[pos] = node;
+    }
+    return count;
+}
+
 std::vector<uint32_t>
 RendezvousHash::replicaSet(uint64_t key, unsigned r) const
 {
-    struct Scored
-    {
-        uint64_t score;
-        uint32_t node;
-    };
-    std::vector<Scored> scored;
-    scored.reserve(nodes_.size());
-    for (uint32_t node : nodes_)
-        scored.push_back({score(node, key), node});
+    uint32_t best[kMaxNodes];
+    const unsigned count = select(key, r, best);
+    return std::vector<uint32_t>(best, best + count);
+}
 
-    const size_t take = std::min<size_t>(r, scored.size());
-    std::partial_sort(scored.begin(), scored.begin() + take, scored.end(),
-                      [](const Scored &a, const Scored &b) {
-                          if (a.score != b.score)
-                              return a.score > b.score;
-                          return a.node < b.node;
-                      });
-    std::vector<uint32_t> replicas;
-    replicas.reserve(take);
-    for (size_t i = 0; i < take; ++i)
-        replicas.push_back(scored[i].node);
-    return replicas;
+uint64_t
+RendezvousHash::replicaMask(uint64_t key, unsigned r) const
+{
+    uint32_t best[kMaxNodes];
+    const unsigned count = select(key, r, best);
+    uint64_t mask = 0;
+    for (unsigned i = 0; i < count; ++i)
+        mask |= uint64_t{1} << best[i];
+    return mask;
 }
 
 uint32_t
 RendezvousHash::primary(uint64_t key) const
 {
     WSP_CHECK(!nodes_.empty());
-    uint32_t best = nodes_.front();
-    uint64_t best_score = score(best, key);
-    for (uint32_t node : nodes_) {
-        const uint64_t s = score(node, key);
-        if (s > best_score || (s == best_score && node < best)) {
-            best = node;
-            best_score = s;
-        }
-    }
-    return best;
+    uint32_t best[kMaxNodes];
+    select(key, 1, best);
+    return best[0];
 }
 
 } // namespace wsp::fleet

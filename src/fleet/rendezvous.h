@@ -24,9 +24,12 @@ namespace wsp::fleet {
 class RendezvousHash
 {
   public:
+    /** Node ids are 0..kMaxNodes-1, so a replica set fits one mask. */
+    static constexpr uint32_t kMaxNodes = 64;
+
     RendezvousHash() = default;
 
-    /** Add @p node to the candidate set (idempotent). */
+    /** Add @p node (< kMaxNodes) to the candidate set (idempotent). */
     void addNode(uint32_t node);
 
     /** Remove @p node; no-op when absent. */
@@ -52,10 +55,19 @@ class RendezvousHash
      */
     std::vector<uint32_t> replicaSet(uint64_t key, unsigned r) const;
 
+    /** replicaSet() as a membership mask: bit i set iff node i is in
+     *  it. Allocation-free; membership is then one bit test. */
+    uint64_t replicaMask(uint64_t key, unsigned r) const;
+
     /** The primary owner of @p key; nodes() must be non-empty. */
     uint32_t primary(uint64_t key) const;
 
   private:
+    /** The top-min(r, nodes) candidates of @p key into @p best,
+     *  best-first; returns how many. */
+    unsigned select(uint64_t key, unsigned r,
+                    uint32_t (&best)[kMaxNodes]) const;
+
     std::vector<uint32_t> nodes_;
 };
 

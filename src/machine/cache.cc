@@ -290,34 +290,38 @@ CacheModel::writeBack(uint64_t line_addr)
 
 // Shared dispatch ------------------------------------------------------
 
+const uint8_t *
+CacheModel::dirtyLine(uint64_t base) const
+{
+    if (store_ == LineStore::Flat) {
+        const uint32_t slot = flatFind(base);
+        return slot != kNoSlot ? flatLines_[slot].data : nullptr;
+    }
+    const auto it = dirty_.find(base);
+    return it != dirty_.end() ? it->second.data.data() : nullptr;
+}
+
 void
 CacheModel::read(uint64_t addr, std::span<uint8_t> out) const
 {
     size_t done = 0;
     while (done < out.size()) {
         const uint64_t cur = addr + done;
-        const uint64_t base = lineBase(cur);
-        const uint64_t offset = cur - base;
+        const uint64_t offset = cur - lineBase(cur);
         const size_t chunk = static_cast<size_t>(
             std::min<uint64_t>(kLineSize - offset, out.size() - done));
-        if (store_ == LineStore::Flat) {
-            const uint32_t slot = flatFind(base);
-            if (slot != kNoSlot) {
-                std::memcpy(out.data() + done,
-                            flatLines_[slot].data + offset, chunk);
-            } else {
-                memory_.read(cur, out.subspan(done, chunk));
-            }
-        } else {
-            auto it = dirty_.find(base);
-            if (it != dirty_.end()) {
-                std::memcpy(out.data() + done,
-                            it->second.data.data() + offset, chunk);
-            } else {
-                memory_.read(cur, out.subspan(done, chunk));
-            }
+        if (const uint8_t *line = dirtyLine(lineBase(cur))) {
+            std::memcpy(out.data() + done, line + offset, chunk);
+            done += chunk;
+            continue;
         }
-        done += chunk;
+        // A run of clean lines is one NVRAM read.
+        size_t clean = chunk;
+        while (done + clean < out.size() &&
+               dirtyLine(cur + clean) == nullptr)
+            clean += std::min<size_t>(kLineSize, out.size() - done - clean);
+        memory_.read(cur, out.subspan(done, clean));
+        done += clean;
     }
 }
 

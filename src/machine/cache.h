@@ -431,6 +431,9 @@ class CacheModel
     uint64_t readU64Slow(uint64_t addr) const;
     void writeU64Slow(uint64_t addr, uint64_t value);
 
+    /** Payload of @p base's dirty line (either store), or nullptr. */
+    const uint8_t *dirtyLine(uint64_t base) const;
+
     // Reference store --------------------------------------------------
 
     struct Line

@@ -597,6 +597,76 @@ TEST_F(KvFixture, ChecksumTracksContent)
     EXPECT_EQ(store.checksum(), empty);
 }
 
+// forEach and checksum() read the slot array a run of slots at a time;
+// they must see exactly what a per-slot readU64 scan sees, whatever mix
+// of dirty, written-back and evicted lines holds the slots. Slot i sits
+// at base + 64 + 16 * i (after the 64-byte header); ~0 marks a
+// tombstone.
+TEST_F(KvFixture, ScansMatchPerSlotReads)
+{
+    constexpr uint64_t kTombstone = ~0ull;
+    for (const auto line_store :
+         {CacheModel::LineStore::Flat, CacheModel::LineStore::Reference})
+        for (const uint64_t capacity : {1, 2, 4, 1024})
+            // 4096 + 16: runs that start and end mid-line.
+            for (const uint64_t base : {0ull, 4096ull + 16}) {
+                const std::string where =
+                    "capacity " + std::to_string(capacity) + " base " +
+                    std::to_string(base) +
+                    (line_store == CacheModel::LineStore::Flat
+                         ? " flat"
+                         : " reference");
+                // Eight lines of cache: a 1024-slot store (256 lines)
+                // keeps most of its lines evicted to NVRAM.
+                CacheModel small("small", 8 * CacheModel::kLineSize,
+                                 CacheTiming{}, space, line_store);
+                KvStore store(small, base, capacity);
+                Rng rng(capacity * 31 + base);
+                const uint64_t keys = std::max<uint64_t>(1, capacity * 3 / 4);
+                for (uint64_t key = 1; key <= keys; ++key)
+                    store.put(key, rng() | 1);
+                for (uint64_t i = 0; i < keys; ++i) {
+                    const uint64_t key = rng.next(keys) + 1;
+                    if (rng.next(3) == 0)
+                        store.erase(key);
+                    else
+                        store.put(key, rng() | 1);
+                }
+                // Write every third slot line back: clean, in NVRAM.
+                for (uint64_t i = 0; i < capacity; i += 12)
+                    small.flushLine(base + 64 + 16 * i);
+
+                std::vector<std::pair<uint64_t, uint64_t>> want;
+                uint64_t want_sum = 0;
+                unsigned tombstones = 0, dirty = 0;
+                for (uint64_t i = 0; i < capacity; ++i) {
+                    const uint64_t addr = base + 64 + 16 * i;
+                    const uint64_t key = small.readU64(addr);
+                    tombstones += key == kTombstone ? 1 : 0;
+                    dirty += small.peekLine(addr & ~63ull) ? 1 : 0;
+                    if (key == 0 || key == kTombstone)
+                        continue;
+                    const uint64_t value = small.readU64(addr + 8);
+                    want.emplace_back(key, value);
+                    want_sum += key * 0x9e3779b97f4a7c15ull + value;
+                }
+                std::vector<std::pair<uint64_t, uint64_t>> seen;
+                store.forEach([&](uint64_t key, uint64_t value) {
+                    seen.emplace_back(key, value);
+                });
+                EXPECT_EQ(seen, want) << where;
+                EXPECT_EQ(store.checksum(), want_sum) << where;
+                if (capacity == 1024) {
+                    EXPECT_GT(tombstones, 0u) << where;
+                    EXPECT_GT(small.dirtyLines(), 0u) << where;
+                    if (line_store == CacheModel::LineStore::Flat) {
+                        EXPECT_GT(dirty, 0u) << where;
+                        EXPECT_LT(dirty, capacity) << where;
+                    }
+                }
+            }
+}
+
 // BackendStore ----------------------------------------------------------
 
 TEST_F(KvFixture, BackendCheckpointAndLogRecover)

@@ -125,6 +125,56 @@ TEST(Rendezvous, MinimalDisruptionOnLeaveAndJoin)
     }
 }
 
+// replicaMask is replicaSet as bits, and replicaSet is the true top-r:
+// over random keys, node sets of every size 1..64 (drawn from the whole
+// id space, with removals) and r in 1..n+2.
+TEST(Rendezvous, ReplicaMaskMatchesReplicaSet)
+{
+    const uint64_t seed = testSeed(0xd15202);
+    Rng rng(seed);
+    for (unsigned n = 1; n <= RendezvousHash::kMaxNodes; ++n) {
+        RendezvousHash ring;
+        const auto fill = [&] {
+            while (ring.nodes().size() < n)
+                ring.addNode(static_cast<uint32_t>(
+                    rng.next(RendezvousHash::kMaxNodes)));
+        };
+        fill();
+        for (unsigned i = 0; i < 2 && !ring.nodes().empty(); ++i)
+            ring.removeNode(ring.nodes()[rng.next(ring.nodes().size())]);
+        fill();
+        ASSERT_EQ(ring.nodes().size(), n);
+
+        for (unsigned r = 1; r <= n + 2; ++r) {
+            for (unsigned k = 0; k < 8; ++k) {
+                const uint64_t key = rng();
+                // Reference: every candidate, fully sorted best-first.
+                std::vector<uint32_t> ranked = ring.nodes();
+                std::sort(ranked.begin(), ranked.end(),
+                          [&](uint32_t a, uint32_t b) {
+                              const uint64_t sa =
+                                  RendezvousHash::score(a, key);
+                              const uint64_t sb =
+                                  RendezvousHash::score(b, key);
+                              return sa != sb ? sa > sb : a < b;
+                          });
+                ranked.resize(std::min(r, n));
+                const auto set = ring.replicaSet(key, r);
+                EXPECT_EQ(set, ranked) << "seed " << seed << " n " << n
+                                       << " r " << r << " key " << key;
+                uint64_t bits = 0;
+                for (uint32_t id : set)
+                    bits |= 1ull << id;
+                const uint64_t mask = ring.replicaMask(key, r);
+                EXPECT_EQ(mask, bits) << "seed " << seed << " n " << n
+                                      << " r " << r << " key " << key;
+                EXPECT_EQ(static_cast<unsigned>(__builtin_popcountll(mask)),
+                          std::min(r, n));
+            }
+        }
+    }
+}
+
 // Node lifecycle ------------------------------------------------------
 
 TEST(FleetNode, CrashCaptureRebootKeepsState)
@@ -478,4 +528,168 @@ TEST(FleetSweep, FuzzedSchedulesHold)
             ADD_FAILURE() << failure.schedule.summary() << ": "
                           << violation;
     EXPECT_TRUE(report.allHeld());
+}
+
+// Repair equivalence --------------------------------------------------
+//
+// Every observable output of anti-entropy repair over a short storm
+// train, pinned per (seed, policy): the StormOutcome fields, the
+// client stats, and every node's final store checksum and slot
+// layout. A change to how repair reads replicas must reproduce these
+// exactly; only a reviewed change to the repair protocol itself may
+// move them. Seeds are fixed here (not testSeed) because the values
+// are.
+
+namespace {
+
+uint64_t
+foldPin(uint64_t h, uint64_t v)
+{
+    h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
+    h ^= h >> 31;
+    h *= 0xbf58476d1ce4e5b9ull;
+    return h ^ (h >> 29);
+}
+
+struct RepairPin
+{
+    uint64_t seed;
+    RecoveryPolicy policy;
+    uint64_t digests;  ///< summed StormOutcome::digestsExchanged
+    uint64_t streamed; ///< summed repairStreamedBytes
+    unsigned shards;   ///< summed shardsRepaired
+    uint64_t fingerprint; ///< every output folded, see runRepairTrain
+};
+
+RepairPin
+runRepairTrain(uint64_t seed, RecoveryPolicy policy)
+{
+    FleetConfig config;
+    config.nodes = 6;
+    config.replication = 3;
+    config.policy = policy;
+    config.seed = seed;
+    // Paper-sized modeled state stretches each recovery, so client
+    // traffic lands on catching-up and degraded replicas.
+    config.memoryPerServer = 256ull * kGiB;
+    Fleet fleet(config);
+    fleet.runTraffic(80, 0.7);
+    Rng rng(seed ^ 0x7e9a1f);
+    const auto victims = [&](unsigned count) {
+        uint64_t mask = 0;
+        while (static_cast<unsigned>(__builtin_popcountll(mask)) < count)
+            mask |= 1ull << rng.next(config.nodes);
+        return mask;
+    };
+
+    RepairPin pin{seed, policy, 0, 0, 0, 0};
+    uint64_t h = 0;
+    const auto fold = [&](const StormOutcome &storm) {
+        for (uint64_t v :
+             {uint64_t{storm.start}, uint64_t{storm.powerRestored},
+              uint64_t{storm.fullCapacityAt},
+              uint64_t{storm.timeToFullCapacity}, uint64_t{storm.victims},
+              uint64_t{storm.wspRecoveries}, uint64_t{storm.salvageBoots},
+              uint64_t{storm.backendRefills}, storm.digestsExchanged,
+              storm.repairStreamedBytes, uint64_t{storm.shardsRepaired}})
+            h = foldPin(h, v);
+        pin.digests += storm.digestsExchanged;
+        pin.streamed += storm.repairStreamedBytes;
+        pin.shards += storm.shardsRepaired;
+    };
+    // A whole save, a torn save of two nodes, then a second kill that
+    // lands while the first victim is still dark.
+    fold(fleet.runStorm(victims(1), fromSeconds(2.0), fromMillis(80.0)));
+    fleet.runTraffic(40, 0.5);
+    fold(fleet.runStorm(victims(2), fromSeconds(1.0), fromMillis(2.0)));
+    fleet.runTraffic(40, 0.5);
+    fleet.killSubset(victims(1), fromSeconds(2.0), fromMillis(5.0));
+    fleet.runTraffic(30, 0.5);
+    fold(fleet.runStorm(victims(2), fromSeconds(1.0), fromMillis(80.0)));
+    fleet.runTraffic(40, 0.5);
+    fleet.settle();
+
+    const RequestStats &stats = fleet.stats();
+    for (uint64_t v : {stats.requests, stats.succeeded, stats.failed,
+                       stats.retries, stats.timeouts, stats.degradedReads,
+                       stats.rejectedWrites, stats.ackedWrites})
+        h = foldPin(h, v);
+    for (uint32_t id = 0; id < config.nodes; ++id) {
+        const FleetNode &node = fleet.node(id);
+        EXPECT_TRUE(node.serving()) << id;
+        h = foldPin(h, node.checksum());
+        // Scan order is slot order: the fold pins each shard's layout,
+        // which later salvage and crash outcomes depend on.
+        for (unsigned shard = 0; shard < node.shards(); ++shard)
+            for (const auto &[key, value] : node.collectShard(shard))
+                h = foldPin(foldPin(h, key), value);
+    }
+    EXPECT_TRUE(fleet.checkReplicaConvergence().empty());
+    pin.fingerprint = h;
+    return pin;
+}
+
+} // namespace
+
+TEST(Fleet, RepairOutputsArePinned)
+{
+    const RepairPin pinned[] = {
+        {1, RecoveryPolicy::WspLocal, 272, 6656, 32,
+         0x8f50ec64b27f90afull},
+        {1, RecoveryPolicy::BackendRefill, 272, 9360, 32,
+         0xe0a68e000620fdb8ull},
+        {1, RecoveryPolicy::DegradedTier, 272, 6656, 32,
+         0xa7c579819346d1faull},
+        {2, RecoveryPolicy::WspLocal, 304, 5952, 40,
+         0x60f6a90aa7f236b4ull},
+        {2, RecoveryPolicy::BackendRefill, 320, 8544, 40,
+         0x48fa5af6335ee787ull},
+        {2, RecoveryPolicy::DegradedTier, 304, 5952, 40,
+         0x9853db59b69528ebull},
+        {3, RecoveryPolicy::WspLocal, 304, 6128, 39,
+         0x1a5fcd7fa063c6c3ull},
+        {3, RecoveryPolicy::BackendRefill, 320, 8208, 40,
+         0x100bcf26f7af7f01ull},
+        {3, RecoveryPolicy::DegradedTier, 304, 6128, 39,
+         0xa33799b2aa230715ull},
+        {4, RecoveryPolicy::WspLocal, 272, 7168, 32,
+         0x012c8c46419eb9ddull},
+        {4, RecoveryPolicy::BackendRefill, 272, 9728, 32,
+         0x4e393bfffbcdfd84ull},
+        {4, RecoveryPolicy::DegradedTier, 272, 7168, 32,
+         0xceafe590158a1354ull},
+        {5, RecoveryPolicy::WspLocal, 304, 5792, 39,
+         0x309f9f0f281bfe80ull},
+        {5, RecoveryPolicy::BackendRefill, 320, 8240, 40,
+         0xf9d126e1d007a4dcull},
+        {5, RecoveryPolicy::DegradedTier, 304, 5792, 39,
+         0x2f42db4aaefe52dcull},
+        {6, RecoveryPolicy::WspLocal, 272, 6736, 32,
+         0x2d25b9129ac0894eull},
+        {6, RecoveryPolicy::BackendRefill, 272, 9440, 32,
+         0x4480a58416cd827full},
+        {6, RecoveryPolicy::DegradedTier, 272, 6736, 32,
+         0x2c47285c7e9b4dd4ull},
+        {7, RecoveryPolicy::WspLocal, 304, 6176, 40,
+         0x66df2355b4f1cbc6ull},
+        {7, RecoveryPolicy::BackendRefill, 320, 8640, 40,
+         0x3729522440efed1bull},
+        {7, RecoveryPolicy::DegradedTier, 304, 6176, 40,
+         0xefb977650ea5b823ull},
+        {8, RecoveryPolicy::WspLocal, 304, 5472, 40,
+         0x5cd8bd5f345b0453ull},
+        {8, RecoveryPolicy::BackendRefill, 320, 8400, 40,
+         0xab149821ab0f6229ull},
+        {8, RecoveryPolicy::DegradedTier, 304, 5472, 40,
+         0x03a462ece1a140edull},
+    };
+    for (const RepairPin &want : pinned) {
+        const RepairPin got = runRepairTrain(want.seed, want.policy);
+        const std::string where = "seed " + std::to_string(want.seed) +
+                                  " " + recoveryPolicyName(want.policy);
+        EXPECT_EQ(got.digests, want.digests) << where;
+        EXPECT_EQ(got.streamed, want.streamed) << where;
+        EXPECT_EQ(got.shards, want.shards) << where;
+        EXPECT_EQ(got.fingerprint, want.fingerprint) << where;
+    }
 }

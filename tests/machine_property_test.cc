@@ -195,7 +195,7 @@ TEST(NvramSweep, ManySmallModulesBehaveLikeOneBig)
     NvramSpace space;
     for (int i = 0; i < 8; ++i) {
         dimms.push_back(std::make_unique<NvdimmModule>(
-            queue, "d" + std::to_string(i), config));
+            queue, std::string("d").append(std::to_string(i)), config));
         controller.attach(*dimms.back());
         space.addModule(*dimms.back());
     }

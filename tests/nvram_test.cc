@@ -281,7 +281,8 @@ TEST(Nvdimm, SaveTimeUnderTenSecondsUpTo8GiB)
     for (uint64_t gib : {1, 2, 4, 8}) {
         NvdimmConfig config;
         config.capacityBytes = gib * kGiB;
-        NvdimmModule dimm(queue, "d" + std::to_string(gib), config);
+        NvdimmModule dimm(queue, std::string("d").append(std::to_string(gib)),
+                          config);
         EXPECT_LT(toSeconds(dimm.saveDuration()), 10.0) << gib << " GiB";
     }
 }
@@ -525,7 +526,8 @@ TEST(NvdimmController, SaveAllRunsInParallel)
     std::vector<std::unique_ptr<NvdimmModule>> dimms;
     for (int i = 0; i < 4; ++i) {
         dimms.push_back(std::make_unique<NvdimmModule>(
-            queue, "d" + std::to_string(i), smallDimm()));
+            queue, std::string("d").append(std::to_string(i)),
+            smallDimm()));
         controller.attach(*dimms.back());
     }
     controller.saveAll();
