@@ -28,10 +28,14 @@ KvStore::KvStore(CacheModel &cache, uint64_t base, uint64_t capacity)
     cache_.writeU64(base_ + kOffMagic, kMagic);
     cache_.writeU64(base_ + kOffCapacity, capacity);
     cache_.writeU64(base_ + kOffSize, 0);
-    for (uint64_t i = 0; i < capacity; ++i) {
-        cache_.writeU64(slotAddr(i), 0);
-        cache_.writeU64(slotAddr(i) + 8, 0);
-    }
+    // Zero the slots a line at a time: the same lines are dirtied in
+    // the same order as word by word, with an eighth of the calls.
+    static constexpr uint8_t kZeroLine[CacheModel::kLineSize] = {};
+    const uint64_t end = slotAddr(capacity);
+    for (uint64_t addr = slotAddr(0); addr < end; addr += sizeof(kZeroLine))
+        cache_.write(addr, std::span<const uint8_t>(kZeroLine).first(
+                               std::min<uint64_t>(sizeof(kZeroLine),
+                                                  end - addr)));
 }
 
 KvStore::KvStore(CacheModel &cache, uint64_t base, uint64_t capacity,

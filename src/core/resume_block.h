@@ -55,7 +55,7 @@ class ResumeBlock
     Tick writeHeader(uint64_t boot_sequence);
 
     /**
-     * Checksum over the header and every slot as currently stored in
+     * CRC-64 over the header and every slot as currently stored in
      * NVRAM. The save path stores this in the valid marker; the
      * restore path recomputes and compares.
      */

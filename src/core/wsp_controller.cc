@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "trace/stat_registry.h"
 #include "util/logging.h"
 
 namespace wsp {
@@ -155,7 +156,14 @@ void
 WspController::onPowerFailInterrupt()
 {
     if (!running_) {
-        warn("power-fail interrupt while not running; ignored");
+        // A hard loss that beat the interrupt (a crash window at the
+        // very edge of the failure) already stopped the machine, so
+        // nothing is left to save. Routine in a crash sweep: counted,
+        // not warned about.
+        trace::StatRegistry::instance()
+            .counter("core.powerfail_ignored")
+            .add();
+        debugLog("power-fail interrupt while not running; ignored");
         return;
     }
     running_ = false;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
+#include <functional>
+#include <span>
 
 #include "util/logging.h"
 
@@ -27,30 +29,64 @@ formatValue(const std::optional<uint64_t> &value)
     return std::to_string(*value);
 }
 
-/** Invoked operations of @p ops touching @p key, in history order. */
-std::vector<const HistoryOp *>
-opsOnKey(const std::vector<HistoryOp> &ops, uint64_t key)
-{
-    std::vector<const HistoryOp *> result;
-    for (const HistoryOp &op : ops) {
-        if (op.invoked && op.key == key)
-            result.push_back(&op);
-    }
-    return result;
-}
+using OpRun = std::span<const HistoryOp *const>;
 
-/** Every key any invoked operation touches. */
-std::vector<uint64_t>
-touchedKeys(const std::vector<HistoryOp> &ops)
+/**
+ * The invoked operations of @p ops sorted by (key, position): a stable
+ * sort by key, so each key's run stays in history order. Durable
+ * linearizability is local (a history is durably linearizable iff
+ * each key's history is), so every checker walks these runs instead
+ * of rescanning the whole history once per key.
+ */
+std::vector<const HistoryOp *>
+sortByKey(const std::vector<HistoryOp> &ops)
 {
-    std::vector<uint64_t> keys;
+    std::vector<const HistoryOp *> sorted;
+    sorted.reserve(ops.size());
     for (const HistoryOp &op : ops) {
         if (op.invoked)
-            keys.push_back(op.key);
+            sorted.push_back(&op);
     }
-    std::sort(keys.begin(), keys.end());
-    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-    return keys;
+    std::sort(sorted.begin(), sorted.end(),
+              [](const HistoryOp *a, const HistoryOp *b) {
+                  return a->key != b->key ? a->key < b->key
+                                          : std::less<>()(a, b);
+              });
+    return sorted;
+}
+
+/** Call @p visit(first, run) for each key's run of @p sorted, in key
+ *  order; @p first is the run's position in @p sorted. */
+template <typename Visit>
+void
+forEachKey(OpRun sorted, Visit visit)
+{
+    for (size_t first = 0, end = 0; first < sorted.size(); first = end) {
+        end = first + 1;
+        while (end < sorted.size() && sorted[end]->key == sorted[first]->key)
+            ++end;
+        visit(first, sorted.subspan(first, end - first));
+    }
+}
+
+/** Position of the last responded op in @p kops, or -1. */
+ptrdiff_t
+lastResponded(OpRun kops)
+{
+    for (size_t i = kops.size(); i > 0; --i) {
+        if (kops[i - 1]->responded)
+            return static_cast<ptrdiff_t>(i - 1);
+    }
+    return -1;
+}
+
+/** Value the responded ops leave on the key: the one value every
+ *  admissible outcome must start from. */
+std::optional<uint64_t>
+respondedValue(OpRun kops, ptrdiff_t last)
+{
+    return last >= 0 ? valueAfter(*kops[static_cast<size_t>(last)])
+                     : std::nullopt;
 }
 
 std::optional<uint64_t>
@@ -83,14 +119,14 @@ appendViolation(ConditionResult *result, const char *fmt, ...)
  * common to every condition (no checker admits invented keys).
  */
 void
-checkNoInventedKeys(const std::vector<HistoryOp> &ops, const KvState &state,
+checkNoInventedKeys(OpRun sorted, const KvState &state,
                     const char *checker, ConditionResult *result)
 {
     for (const auto &[key, value] : state) {
-        bool touched = false;
-        for (const HistoryOp &op : ops)
-            touched = touched || (op.invoked && op.key == key);
-        if (!touched)
+        const auto it = std::lower_bound(
+            sorted.begin(), sorted.end(), key,
+            [](const HistoryOp *op, uint64_t k) { return op->key < k; });
+        if (it == sorted.end() || (*it)->key != key)
             appendViolation(result,
                             "%s: key %llu=%llu survived but no operation "
                             "in the history ever touched it",
@@ -106,51 +142,39 @@ checkDurableLinearizable(const std::vector<HistoryOp> &ops,
                          const KvState &state)
 {
     ConditionResult result;
+    const std::vector<const HistoryOp *> sorted = sortByKey(ops);
     // Per key: the ops on it are totally ordered and inclusion of each
     // in-flight op is a free choice, so the admissible final values
     // are the value after the last *responded* op (all responded ops
     // must be included; earlier in-flight inclusions are overwritten)
     // plus the value after each later in-flight op.
-    for (uint64_t key : touchedKeys(ops)) {
-        const std::vector<const HistoryOp *> kops = opsOnKey(ops, key);
-        ptrdiff_t last_responded = -1;
-        for (size_t i = 0; i < kops.size(); ++i) {
-            if (kops[i]->responded)
-                last_responded = static_cast<ptrdiff_t>(i);
-        }
-
-        std::vector<std::optional<uint64_t>> admissible;
-        admissible.push_back(last_responded >= 0
-                                 ? valueAfter(*kops[last_responded])
-                                 : std::nullopt);
-        for (size_t i = static_cast<size_t>(last_responded + 1);
-             i < kops.size(); ++i)
-            admissible.push_back(valueAfter(*kops[i]));
-
+    forEachKey(sorted, [&](size_t, OpRun kops) {
+        const uint64_t key = kops.front()->key;
+        const ptrdiff_t last = lastResponded(kops);
+        const size_t first_free = static_cast<size_t>(last + 1);
         const std::optional<uint64_t> got = stateValue(state, key);
-        bool match = false;
-        for (const auto &candidate : admissible)
-            match = match || candidate == got;
-        if (!match) {
-            std::string options;
-            for (const auto &candidate : admissible) {
-                if (!options.empty())
-                    options += ", ";
-                options += formatValue(candidate);
-            }
-            appendViolation(&result,
-                            "durable-lin: key %llu holds %s after "
-                            "recovery; admissible: {%s} (last responded "
-                            "op %s)",
-                            static_cast<unsigned long long>(key),
-                            formatValue(got).c_str(), options.c_str(),
-                            last_responded >= 0
-                                ? std::to_string(
-                                      kops[last_responded]->id).c_str()
-                                : "none");
-        }
-    }
-    checkNoInventedKeys(ops, state, "durable-lin", &result);
+        bool match = respondedValue(kops, last) == got;
+        for (size_t i = first_free; !match && i < kops.size(); ++i)
+            match = valueAfter(*kops[i]) == got;
+        if (match)
+            return;
+
+        std::string options = formatValue(respondedValue(kops, last));
+        for (size_t i = first_free; i < kops.size(); ++i)
+            options += ", " + formatValue(valueAfter(*kops[i]));
+        appendViolation(&result,
+                        "durable-lin: key %llu holds %s after "
+                        "recovery; admissible: {%s} (last responded "
+                        "op %s)",
+                        static_cast<unsigned long long>(key),
+                        formatValue(got).c_str(), options.c_str(),
+                        last >= 0
+                            ? std::to_string(
+                                  kops[static_cast<size_t>(last)]->id)
+                                  .c_str()
+                            : "none");
+    });
+    checkNoInventedKeys(sorted, state, "durable-lin", &result);
     return result;
 }
 
@@ -167,20 +191,34 @@ checkBufferedDurableLinearizable(const std::vector<HistoryOp> &ops,
             min_cut = i + 1;
     }
 
-    KvState replayed;
+    // Replay the prefixes incrementally, per key, counting the keys
+    // whose replayed value differs from the state: a prefix replays
+    // to the state iff that count is zero. The empty replay differs
+    // on every surviving key — and a key no op touched keeps
+    // differing, so an invented key fails every cut. A key's values
+    // live at its run's position in the sorted ops.
+    const std::vector<const HistoryOp *> sorted = sortByKey(ops);
+    std::vector<size_t> run_of(ops.size());
+    std::vector<std::optional<uint64_t>> wanted(sorted.size());
+    std::vector<std::optional<uint64_t>> replayed(sorted.size());
+    forEachKey(sorted, [&](size_t first, OpRun kops) {
+        for (const HistoryOp *op : kops)
+            run_of[static_cast<size_t>(op - ops.data())] = first;
+        wanted[first] = stateValue(state, kops.front()->key);
+    });
+    size_t differing = state.size();
+
     bool found = false;
-    size_t cut = 0;
     for (size_t p = 0; p <= ops.size(); ++p) {
         if (p > 0 && ops[p - 1].invoked) {
-            const HistoryOp &op = ops[p - 1];
-            if (op.isErase)
-                replayed.erase(op.key);
-            else
-                replayed[op.key] = op.value;
+            const size_t run = run_of[p - 1];
+            const bool matched = replayed[run] == wanted[run];
+            replayed[run] = valueAfter(ops[p - 1]);
+            const bool matches = replayed[run] == wanted[run];
+            differing = differing + matched - matches;
         }
-        if (p >= min_cut && replayed == state) {
+        if (p >= min_cut && differing == 0) {
             found = true;
-            cut = p;
             break;
         }
     }
@@ -190,9 +228,7 @@ checkBufferedDurableLinearizable(const std::vector<HistoryOp> &ops,
                         "containing all persisted ops (earliest legal "
                         "cut %zu) replays to the surviving state",
                         ops.size(), min_cut);
-        checkNoInventedKeys(ops, state, "buffered", &result);
-    } else {
-        (void)cut;
+        checkNoInventedKeys(sorted, state, "buffered", &result);
     }
     return result;
 }
@@ -204,14 +240,11 @@ checkDetectableExecution(
 {
     ConditionResult result;
     std::vector<std::pair<uint64_t, OpVerdict>> assigned;
+    const std::vector<const HistoryOp *> sorted = sortByKey(ops);
 
-    for (uint64_t key : touchedKeys(ops)) {
-        const std::vector<const HistoryOp *> kops = opsOnKey(ops, key);
-        ptrdiff_t last_responded = -1;
-        for (size_t i = 0; i < kops.size(); ++i) {
-            if (kops[i]->responded)
-                last_responded = static_cast<ptrdiff_t>(i);
-        }
+    forEachKey(sorted, [&](size_t, OpRun kops) {
+        const uint64_t key = kops.front()->key;
+        const ptrdiff_t last = lastResponded(kops);
         const std::optional<uint64_t> got = stateValue(state, key);
 
         // Find the cut within this key's ops that explains the
@@ -220,17 +253,12 @@ checkDetectableExecution(
         // committed) for determinism; any consistent one suffices for
         // detectability.
         ptrdiff_t chosen = -2; // -2 = no explanation
-        {
-            const std::optional<uint64_t> base =
-                last_responded >= 0 ? valueAfter(*kops[last_responded])
-                                    : std::nullopt;
-            if (base == got)
-                chosen = last_responded;
-            for (size_t i = static_cast<size_t>(last_responded + 1);
-                 i < kops.size(); ++i) {
-                if (valueAfter(*kops[i]) == got)
-                    chosen = static_cast<ptrdiff_t>(i);
-            }
+        if (respondedValue(kops, last) == got)
+            chosen = last;
+        for (size_t i = static_cast<size_t>(last + 1); i < kops.size();
+             ++i) {
+            if (valueAfter(*kops[i]) == got)
+                chosen = static_cast<ptrdiff_t>(i);
         }
         if (chosen == -2) {
             appendViolation(&result,
@@ -239,7 +267,7 @@ checkDetectableExecution(
                             "explains it (partial effect survived?)",
                             static_cast<unsigned long long>(key),
                             formatValue(got).c_str(), kops.size());
-            continue;
+            return;
         }
         for (size_t i = 0; i < kops.size(); ++i) {
             assigned.emplace_back(kops[i]->id,
@@ -247,9 +275,9 @@ checkDetectableExecution(
                                       ? OpVerdict::Committed
                                       : OpVerdict::Aborted);
         }
-    }
+    });
 
-    checkNoInventedKeys(ops, state, "detectable", &result);
+    checkNoInventedKeys(sorted, state, "detectable", &result);
     if (result.ok && verdicts != nullptr) {
         std::sort(assigned.begin(), assigned.end());
         *verdicts = std::move(assigned);

@@ -99,8 +99,9 @@ replay(const std::vector<HistoryOp> &ops, Pred include)
 /**
  * Durable linearizability: does a subset S of the invoked operations
  * exist, with every responded operation in S, whose replay equals
- * @p state? Exact per-key decision procedure (O(n + keys)); failure
- * messages name the offending key and the admissible values.
+ * @p state? Exact per-key decision procedure over the history
+ * bucketed by key (O(n log n + keys)); failure messages name the
+ * offending key and the admissible values.
  */
 ConditionResult checkDurableLinearizable(const std::vector<HistoryOp> &ops,
                                          const KvState &state);
@@ -108,7 +109,8 @@ ConditionResult checkDurableLinearizable(const std::vector<HistoryOp> &ops,
 /**
  * Buffered durable linearizability: does a prefix cut of the history
  * exist whose replay equals @p state, with every persisted operation
- * inside the cut? O(n · keys-per-compare) incremental prefix scan.
+ * inside the cut? One incremental prefix scan that keeps the number of
+ * keys whose replayed value differs from @p state: O(n log n + keys).
  */
 ConditionResult
 checkBufferedDurableLinearizable(const std::vector<HistoryOp> &ops,

@@ -370,7 +370,7 @@ IncrementalSaveSoundChecker::check(WspSystem &crashed, WspSystem &revived,
 trace::FrByteReader
 imageByteReader(const NvramImage &image)
 {
-    return [&image](uint64_t addr, std::span<uint8_t> out) -> bool {
+    return [&image](uint64_t addr, std::span<uint8_t> out) -> size_t {
         uint64_t base = 0;
         for (size_t i = 0; i < image.moduleCount(); ++i) {
             const NvramImage::ModuleImage &module = image.module(i);
@@ -381,18 +381,18 @@ imageByteReader(const NvramImage &image)
             }
             const uint64_t local = addr - base;
             if (local + out.size() > capacity)
-                return false; // straddles a module boundary
+                return out.size(); // straddles a module boundary
             // Only the programmed suffix carries this save's bytes;
             // anything below it is residue of an older image the
             // metadata does not claim.
             const uint64_t claimed_from =
                 capacity - std::min(capacity, module.savedBytes);
-            if (local < claimed_from)
-                return false;
-            module.flash.read(local, out);
-            return true;
+            const auto refused = static_cast<size_t>(std::min<uint64_t>(
+                out.size(), claimed_from - std::min(claimed_from, local)));
+            module.flash.read(local + refused, out.subspan(refused));
+            return refused;
         }
-        return false;
+        return out.size();
     };
 }
 

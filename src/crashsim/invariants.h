@@ -190,9 +190,10 @@ class IncrementalSaveSoundChecker : public InvariantChecker
 
 /**
  * Byte reader over a captured image: addresses span the concatenated
- * module flashes, and reads are refused outside each module's
- * programmed suffix [capacity - savedBytes, capacity) — bytes below
- * the suffix are residue of an older save the image does not claim.
+ * module flashes, and the part of a range below its module's
+ * programmed suffix [capacity - savedBytes, capacity) is refused —
+ * bytes below the suffix are residue of an older save the image does
+ * not claim. A range that straddles two modules is refused whole.
  * The closure borrows @p image; it must outlive the reader.
  */
 trace::FrByteReader imageByteReader(const NvramImage &image);

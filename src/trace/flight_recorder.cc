@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 
 #include "util/checksum.h"
 #include "util/logging.h"
@@ -461,7 +462,7 @@ frDecode(const FrByteReader &read, uint64_t header_addr)
     FrDecodeResult result;
 
     uint8_t line[kFrHeaderBytes];
-    if (!read(header_addr, line)) {
+    if (read(header_addr, line) != 0) {
         result.notes.push_back("header line not in the saved image");
         return result;
     }
@@ -482,7 +483,7 @@ frDecode(const FrByteReader &read, uint64_t header_addr)
     }
     if (header.capacity < 2 ||
         (header.capacity & (header.capacity - 1)) != 0 ||
-        header.capacity * kFrRecordBytes > header_addr) {
+        header.capacity > header_addr / kFrRecordBytes) {
         result.headerValid = false;
         result.notes.push_back("header carries an impossible capacity");
         return result;
@@ -507,13 +508,27 @@ frDecode(const FrByteReader &read, uint64_t header_addr)
     // record with seq == headSeq.
     const uint64_t inflight_slot = header.headSeq % header.capacity;
 
+    // One read of the whole ring. The slots in the prefix the reader
+    // refused lie below the programmed flash suffix: unsaved.
+    const size_t ring_bytes = result.capacity * kFrRecordBytes;
+    const auto ring = std::make_unique_for_overwrite<uint8_t[]>(ring_bytes);
+    const size_t refused =
+        read(result.base, std::span<uint8_t>(ring.get(), ring_bytes));
+    const auto slotBytes = [&ring,
+                            refused](uint64_t slot) -> std::span<const uint8_t> {
+        const size_t offset = static_cast<size_t>(slot) * kFrRecordBytes;
+        if (offset < refused)
+            return {};
+        return {ring.get() + offset, kFrRecordBytes};
+    };
+
     std::vector<bool> in_window(result.capacity, false);
     for (uint64_t expected = window_start;
          expected < header.headSeq; ++expected) {
         const uint64_t slot = expected % header.capacity;
         in_window[slot] = true;
-        uint8_t bytes[kFrRecordBytes];
-        if (!read(result.base + slot * kFrRecordBytes, bytes)) {
+        const std::span<const uint8_t> bytes = slotBytes(slot);
+        if (bytes.empty()) {
             ++result.unsavedSlots;
             continue;
         }
@@ -566,8 +581,8 @@ frDecode(const FrByteReader &read, uint64_t header_addr)
     for (uint64_t slot = 0; slot < header.capacity; ++slot) {
         if (in_window[static_cast<size_t>(slot)])
             continue;
-        uint8_t bytes[kFrRecordBytes];
-        if (!read(result.base + slot * kFrRecordBytes, bytes))
+        const std::span<const uint8_t> bytes = slotBytes(slot);
+        if (bytes.empty())
             continue;
         FrRecord record;
         if (frDecodeRecord(bytes, &record)) {
@@ -597,7 +612,7 @@ frFindHeader(const FrByteReader &read, uint64_t top, uint64_t scan_bytes)
     for (; addr + kFrHeaderBytes <= top && addr >= floor;
          addr -= kFrHeaderBytes) {
         uint8_t line[kFrHeaderBytes];
-        if (read(addr, line) && loadU64(line, 0) == kFrMagic) {
+        if (read(addr, line) == 0 && loadU64(line, 0) == kFrMagic) {
             Header header;
             bool magic_ok = false;
             if (decodeHeader(line, &header, &magic_ok))

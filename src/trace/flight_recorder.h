@@ -247,12 +247,15 @@ frEmit(FrEvent event, Category category, uint64_t a0 = 0,
 
 /**
  * Byte reader over whatever holds the ring: a captured NvramImage's
- * flash, a live NvramSpace, or a file. @return false when the range
- * is not available (beyond the programmed flash suffix); the decoder
- * then counts the slot as unsaved rather than torn.
+ * flash, a live NvramSpace, or a file. Fills @p out from @p addr and
+ * @return how many leading bytes of @p out the medium does not hold
+ * (0: all of them were read). Flash is programmed top down, so what a
+ * partial save left readable of any range is a suffix of it; the
+ * refused prefix is left unwritten, and the decoder counts the slots
+ * in it as unsaved rather than torn.
  */
 using FrByteReader =
-    std::function<bool(uint64_t addr, std::span<uint8_t> out)>;
+    std::function<size_t(uint64_t addr, std::span<uint8_t> out)>;
 
 /** Classification of every slot in a decoded ring. */
 struct FrDecodeResult
@@ -286,7 +289,8 @@ struct FrDecodeResult
 
 /**
  * Decode the ring whose header line sits at @p header_addr. Slots are
- * the @c capacity lines directly below the header.
+ * the @c capacity lines directly below the header; the decode reads
+ * them with one call of @p read over the whole ring.
  */
 FrDecodeResult frDecode(const FrByteReader &read, uint64_t header_addr);
 

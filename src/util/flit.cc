@@ -72,29 +72,30 @@ FlitTracker::onStore(uint64_t addr, uint64_t len)
         if (currentOp_ == kNoOp)
             continue;
         FlitOp &op = ops_[currentOp_];
-        bool found = false;
-        for (auto &entry : op.lines) {
-            if (entry.first == line) {
-                entry.second = ls.lastStoreSeq;
-                found = true;
-                break;
-            }
-        }
-        if (!found) {
-            op.lines.emplace_back(line, ls.lastStoreSeq);
-            ls.ops.push_back(currentOp_);
-        }
         op.persistTick = kNoTick;
+        uint32_t entry = op.lines;
+        while (entry != kNoEntry && opLines_[entry].line != line)
+            entry = opLines_[entry].next;
+        if (entry != kNoEntry) {
+            opLines_[entry].seq = ls.lastStoreSeq;
+            continue;
+        }
+        opLines_.push_back({line, ls.lastStoreSeq, op.lines});
+        op.lines = static_cast<uint32_t>(opLines_.size() - 1);
+        lineOps_.push_back({currentOp_, ls.ops});
+        ls.ops = static_cast<uint32_t>(lineOps_.size() - 1);
     }
 }
 
 void
 FlitTracker::onWriteback(uint64_t line_base)
 {
-    LineState &ls = lines_[lineBase(line_base)];
+    auto it = lines_.find(lineBase(line_base));
+    if (it == lines_.end())
+        return;
+    LineState &ls = it->second;
     ls.pending = 0;
     ls.lastWritebackSeq = ls.lastStoreSeq;
-    ls.lastWritebackTick = now();
     settleOpsOn(ls);
 }
 
@@ -106,7 +107,10 @@ FlitTracker::onLineLost(uint64_t line_base)
     // the NV domain, so the ops that issued them stay unpersisted.
     // Remember the discarded interval so a later write-back of the
     // reestablished line cannot retroactively certify the dead stores.
-    LineState &ls = lines_[lineBase(line_base)];
+    auto it = lines_.find(lineBase(line_base));
+    if (it == lines_.end())
+        return;
+    LineState &ls = it->second;
     ls.pending = 0;
     ls.wbAtLoss = ls.lastWritebackSeq;
     ls.lostSeq = ls.lastStoreSeq;
@@ -122,13 +126,14 @@ FlitTracker::pendingStores(uint64_t line_base) const
 bool
 FlitTracker::opPersisted(const FlitOp &op) const
 {
-    for (const auto &[line, seq] : op.lines) {
-        auto it = lines_.find(line);
-        if (it == lines_.end() || it->second.lastWritebackSeq < seq)
+    for (uint32_t e = op.lines; e != kNoEntry; e = opLines_[e].next) {
+        const OpLine &entry = opLines_[e];
+        auto it = lines_.find(entry.line);
+        if (it == lines_.end() || it->second.lastWritebackSeq < entry.seq)
             return false;
         // Written back, unless the store died in a cache loss first.
         const LineState &ls = it->second;
-        if (seq > ls.wbAtLoss && seq <= ls.lostSeq)
+        if (entry.seq > ls.wbAtLoss && entry.seq <= ls.lostSeq)
             return false;
     }
     return true;
@@ -140,9 +145,8 @@ FlitTracker::opPersisted(const FlitOp &op,
 {
     if (!opPersisted(op))
         return false;
-    for (const auto &[line, seq] : op.lines) {
-        (void)seq;
-        if (!covered(line))
+    for (uint32_t e = op.lines; e != kNoEntry; e = opLines_[e].next) {
+        if (!covered(opLines_[e].line))
             return false;
     }
     return true;
@@ -163,8 +167,8 @@ FlitTracker::outstandingLines() const
 void
 FlitTracker::settleOpsOn(const LineState &ls)
 {
-    for (uint64_t id : ls.ops) {
-        FlitOp &op = ops_[id];
+    for (uint32_t e = ls.ops; e != kNoEntry; e = lineOps_[e].next) {
+        FlitOp &op = ops_[lineOps_[e].op];
         if (op.persistTick == kNoTick && opPersisted(op))
             op.persistTick = now();
     }
@@ -175,6 +179,8 @@ FlitTracker::reset()
 {
     ops_.clear();
     lines_.clear();
+    opLines_.clear();
+    lineOps_.clear();
     currentOp_ = kNoOp;
     storeSeq_ = 0;
 }

@@ -65,8 +65,14 @@ struct FlitOp
      */
     Tick persistTick = kNoTick;
 
-    /** (line base, store sequence) of every line the op dirtied. */
-    std::vector<std::pair<uint64_t, uint64_t>> lines;
+    /**
+     * Newest of the (line base, store sequence) entries of the lines
+     * the op dirtied, chained through the tracker's flat entry list;
+     * kNoEntry while the op stored nothing.
+     */
+    uint32_t lines = kNoEntry;
+
+    static constexpr uint32_t kNoEntry = ~0u;
 };
 
 /**
@@ -139,12 +145,19 @@ class FlitTracker
     void reset();
 
   private:
+    static constexpr uint32_t kNoEntry = FlitOp::kNoEntry;
+
+    /**
+     * State of a line some store touched. A line no store touched has
+     * none: an all-zero entry would answer every query exactly as no
+     * entry does, so write-backs and losses of such lines (every
+     * line a wbinvd drains) leave the table alone.
+     */
     struct LineState
     {
         uint64_t pending = 0;          ///< FliT counter
         uint64_t lastStoreSeq = 0;     ///< seq of the newest store
         uint64_t lastWritebackSeq = 0; ///< seq when last cleared
-        Tick lastWritebackTick = kNoTick;
 
         /**
          * Stores with seq in (wbAtLoss, lostSeq] were discarded with
@@ -154,10 +167,23 @@ class FlitTracker
         uint64_t lostSeq = 0;
         uint64_t wbAtLoss = 0;
 
-        /** Ids of the ops whose lines include this one, in the order
-         *  they first dirtied it (never shrinks, like FlitOp::lines),
-         *  so a write-back settles only the ops it can complete. */
-        std::vector<uint64_t> ops;
+        /** Newest entry of the chain of ops whose lines include this
+         *  one (never shrinks, like an op's line chain), so a
+         *  write-back settles only the ops it can complete. */
+        uint32_t ops = kNoEntry;
+    };
+
+    /// Chain entries: a line an op dirtied (with the seq of its newest
+    /// store there), and an op that dirtied a line.
+    struct OpLine
+    {
+        uint64_t line, seq;
+        uint32_t next;
+    };
+    struct LineOp
+    {
+        uint64_t op;
+        uint32_t next;
     };
 
     Tick now() const { return clock_ ? clock_() : 0; }
@@ -168,6 +194,10 @@ class FlitTracker
     std::function<Tick()> clock_;
     std::vector<FlitOp> ops_;
     std::unordered_map<uint64_t, LineState> lines_;
+    /// Every op's line chain and every line's op chain, flat, so a
+    /// store appends entries instead of allocating per-op lists.
+    std::vector<OpLine> opLines_;
+    std::vector<LineOp> lineOps_;
     uint64_t currentOp_ = kNoOp;
     uint64_t storeSeq_ = 0;
 

@@ -140,6 +140,51 @@ TEST(Flit, CoveredPredicateGatesPersistence)
                                  [](uint64_t) { return true; }));
 }
 
+TEST(Flit, UntouchedLineWritebackAndLossLeaveNoState)
+{
+    // A save's wbinvd writes back every dirty line, most of which no
+    // op stored to: those must neither count nor leave state behind.
+    util::FlitTracker flit;
+    const uint64_t id = flit.declareOp(0, 1, 1);
+    flit.beginApply(id);
+    flit.onStore(0, 8);
+    flit.endApply();
+    ASSERT_EQ(flit.outstandingLines(), 1u);
+
+    flit.onWriteback(640);
+    flit.onLineLost(704);
+    flit.onWriteback(704);
+    EXPECT_EQ(flit.outstandingLines(), 1u);
+    EXPECT_EQ(flit.pendingStores(640), 0u);
+    EXPECT_EQ(flit.pendingStores(704), 0u);
+    EXPECT_FALSE(flit.opPersisted(flit.op(id)));
+
+    // Later traffic on those lines behaves exactly as on a fresh
+    // tracker: the earlier loss does not discard the new store, and a
+    // loss after it does.
+    util::FlitTracker fresh;
+    for (util::FlitTracker *t : {&flit, &fresh}) {
+        const uint64_t a = t->declareOp(0, 2, 2);
+        t->beginApply(a);
+        t->onStore(704, 8);
+        t->onStore(640, 8);
+        t->endApply();
+        EXPECT_EQ(t->pendingStores(704), 1u);
+        t->onWriteback(704);
+        t->onLineLost(640);
+        t->onWriteback(640);
+    }
+    const util::FlitOp &touched = flit.ops().back();
+    const util::FlitOp &reference = fresh.ops().back();
+    EXPECT_EQ(flit.outstandingLines(), 1u); // line 0 of the first op
+    EXPECT_EQ(fresh.outstandingLines(), 0u);
+    for (uint64_t line : {640ull, 704ull})
+        EXPECT_EQ(flit.pendingStores(line), fresh.pendingStores(line));
+    EXPECT_EQ(flit.opPersisted(touched), fresh.opPersisted(reference));
+    EXPECT_FALSE(fresh.opPersisted(reference)); // 640's store was lost
+    EXPECT_EQ(touched.persistTick, reference.persistTick);
+}
+
 /**
  * The FliT bookkeeping before the per-line op index: every write-back
  * scans every op, and every line of each op, for ones it completes.
@@ -472,9 +517,57 @@ randomHistory(Rng &rng, size_t n)
     return history;
 }
 
+/**
+ * Brute-force detectable-execution oracle: try every commit/abort
+ * assignment of the invoked operations in which each responded one
+ * commits; the state is explained iff replaying the committed
+ * operations in history order yields it.
+ */
+bool
+bruteForceDetectable(const std::vector<HistoryOp> &history,
+                     const KvState &state)
+{
+    for (uint64_t mask = 0; mask < (1ull << history.size()); ++mask) {
+        bool legal = true;
+        for (size_t i = 0; i < history.size(); ++i) {
+            const bool committed = (mask >> i) & 1;
+            legal = legal && (history[i].invoked || !committed) &&
+                    (committed || !history[i].responded);
+        }
+        if (legal &&
+            replay(history, [&history, mask](const HistoryOp &h) {
+                return (mask >> (&h - history.data())) & 1;
+            }) == state)
+            return true;
+    }
+    return false;
+}
+
+/** Are @p verdicts one such explaining assignment: one verdict per
+ *  invoked op, every responded op committed, and the committed ops
+ *  replaying to @p state? */
+bool
+verdictsExplain(const std::vector<HistoryOp> &history, const KvState &state,
+                const std::vector<std::pair<uint64_t, OpVerdict>> &verdicts)
+{
+    std::map<uint64_t, OpVerdict> by_id(verdicts.begin(), verdicts.end());
+    for (const HistoryOp &h : history) {
+        const auto it = by_id.find(h.id);
+        if (h.invoked != (it != by_id.end()))
+            return false;
+        if (h.responded && it->second != OpVerdict::Committed)
+            return false;
+    }
+    return by_id.size() == verdicts.size() &&
+           replay(history, [&by_id](const HistoryOp &h) {
+               return by_id.at(h.id) == OpVerdict::Committed;
+           }) == state;
+}
+
 TEST(Differential, ExactCheckersMatchBruteForceAcrossTenSeeds)
 {
     size_t dl_sat = 0, dl_unsat = 0, bdl_sat = 0, bdl_unsat = 0;
+    size_t de_sat = 0, de_unsat = 0, untouched = 0;
     for (uint64_t seed = 1; seed <= 10; ++seed) {
         const uint64_t pinned = seed * 0x636f6e64ull + seed;
         SCOPED_TRACE("seed " + std::to_string(seed) + ", " +
@@ -498,6 +591,12 @@ TEST(Differential, ExactCheckersMatchBruteForceAcrossTenSeeds)
             } else {
                 state = randomState(rng);
             }
+            // Some states also hold a key no operation touched, which
+            // every condition must refuse.
+            if (rng.chance(0.15)) {
+                state[4 + rng.next(2)] = 1 + rng.next(5);
+                ++untouched;
+            }
 
             const bool dl_exact =
                 checkDurableLinearizable(history, state).ok;
@@ -514,13 +613,80 @@ TEST(Differential, ExactCheckersMatchBruteForceAcrossTenSeeds)
             ASSERT_EQ(bdl_exact, bdl_brute)
                 << "BDL divergence, round " << round;
             (bdl_exact ? bdl_sat : bdl_unsat) += 1;
+
+            std::vector<std::pair<uint64_t, OpVerdict>> verdicts;
+            const bool de_exact =
+                checkDetectableExecution(history, state, &verdicts).ok;
+            ASSERT_EQ(de_exact, bruteForceDetectable(history, state))
+                << "detectable divergence, round " << round;
+            if (de_exact) {
+                ASSERT_TRUE(verdictsExplain(history, state, verdicts))
+                    << "detectable verdicts explain nothing, round "
+                    << round;
+            }
+            (de_exact ? de_sat : de_unsat) += 1;
         }
     }
-    // The sweep must have exercised both verdicts of both checkers.
+    // The sweep must have exercised both verdicts of every checker.
     EXPECT_GT(dl_sat, 0u);
     EXPECT_GT(dl_unsat, 0u);
     EXPECT_GT(bdl_sat, 0u);
     EXPECT_GT(bdl_unsat, 0u);
+    EXPECT_GT(de_sat, 0u);
+    EXPECT_GT(de_unsat, 0u);
+    EXPECT_GT(untouched, 0u);
+}
+
+TEST(Differential, ViolationTextIsPinned)
+{
+    // Key 1: two responded puts, then an in-flight erase and put;
+    // key 2: one in-flight put; key 3: a responded, persisted put.
+    // The state holds a torn value on key 1, a value no op wrote on
+    // key 2, loses key 3 and invents key 9.
+    const std::vector<HistoryOp> history = {
+        op(0, 1, 5, true, true),
+        op(1, 1, 7, true, false),
+        op(2, 1, 0, false, false, /*isErase=*/true),
+        op(3, 1, 8, false, false),
+        op(4, 2, 3, false, false),
+        op(5, 3, 2, true, true),
+    };
+    const KvState state{{1, 6}, {2, 4}, {9, 1}};
+
+    EXPECT_EQ(
+        checkDurableLinearizable(history, state).violations,
+        (std::vector<std::string>{
+            "durable-lin: key 1 holds 6 after recovery; admissible: "
+            "{7, absent, 8} (last responded op 1)",
+            "durable-lin: key 2 holds 4 after recovery; admissible: "
+            "{absent, 3} (last responded op none)",
+            "durable-lin: key 3 holds absent after recovery; "
+            "admissible: {2} (last responded op 5)",
+            "durable-lin: key 9=1 survived but no operation in the "
+            "history ever touched it",
+        }));
+    EXPECT_EQ(
+        checkBufferedDurableLinearizable(history, state).violations,
+        (std::vector<std::string>{
+            "buffered: no prefix cut of the 6-op history containing "
+            "all persisted ops (earliest legal cut 6) replays to the "
+            "surviving state",
+            "buffered: key 9=1 survived but no operation in the "
+            "history ever touched it",
+        }));
+    EXPECT_EQ(
+        checkDetectableExecution(history, state).violations,
+        (std::vector<std::string>{
+            "detectable: key 1 holds 6 — no commit/abort assignment of "
+            "its 4 ops explains it (partial effect survived?)",
+            "detectable: key 2 holds 4 — no commit/abort assignment of "
+            "its 1 ops explains it (partial effect survived?)",
+            "detectable: key 3 holds absent — no commit/abort "
+            "assignment of its 1 ops explains it (partial effect "
+            "survived?)",
+            "detectable: key 9=1 survived but no operation in the "
+            "history ever touched it",
+        }));
 }
 
 // Schedule plumbing ----------------------------------------------------

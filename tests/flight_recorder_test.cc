@@ -18,6 +18,9 @@
 #include <cstring>
 #include <vector>
 
+#include "crashsim/invariants.h"
+#include "nvram/nvram_image.h"
+#include "sim/event_queue.h"
 #include "trace/flight_recorder.h"
 
 namespace wsp::trace {
@@ -70,11 +73,15 @@ class FlightRecorderTest : public ::testing::Test
     FrByteReader
     reader(uint64_t floor = 0) const
     {
-        return [this, floor](uint64_t addr, std::span<uint8_t> out) {
-            if (addr < floor || addr + out.size() > nvram_.size())
-                return false;
-            std::memcpy(out.data(), nvram_.data() + addr, out.size());
-            return true;
+        return [this, floor](uint64_t addr,
+                             std::span<uint8_t> out) -> size_t {
+            if (addr + out.size() > nvram_.size())
+                return out.size();
+            const size_t refused = static_cast<size_t>(
+                std::min<uint64_t>(out.size(), floor - std::min(floor, addr)));
+            std::memcpy(out.data() + refused, nvram_.data() + addr + refused,
+                        out.size() - refused);
+            return refused;
         };
     }
 
@@ -456,6 +463,103 @@ TEST_F(FlightRecorderTest, DecodeClassifiesEverySlotKind)
     EXPECT_EQ(partial.staleSlots, 0u);
     EXPECT_EQ(partial.unsavedSlots, 2u);
     EXPECT_TRUE(partial.unpublishedTail);
+}
+
+/**
+ * The reference for the one-read ring decode: the decoder's access
+ * pattern before it, one reader call per 64-byte line, each line read
+ * only when it lies wholly inside the module's programmed suffix. A
+ * ring-sized request is answered with the refused prefix those
+ * per-line reads imply.
+ */
+FrByteReader
+perLineImageReader(const NvramImage &image)
+{
+    return [&image](uint64_t addr, std::span<uint8_t> out) -> size_t {
+        const NvramImage::ModuleImage &module = image.module(0);
+        const uint64_t claimed_from =
+            module.flash.capacity() - module.savedBytes;
+        size_t refused = 0;
+        for (size_t off = 0; off < out.size(); off += kFrRecordBytes) {
+            if (addr + off < claimed_from)
+                refused = off + kFrRecordBytes;
+            else
+                module.flash.read(addr + off,
+                                  out.subspan(off, kFrRecordBytes));
+        }
+        return refused;
+    };
+}
+
+void
+expectSameDecode(const FrDecodeResult &got, const FrDecodeResult &want)
+{
+    EXPECT_EQ(got.headerValid, want.headerValid);
+    EXPECT_EQ(got.tornSlots, want.tornSlots);
+    EXPECT_EQ(got.unsavedSlots, want.unsavedSlots);
+    EXPECT_EQ(got.staleSlots, want.staleSlots);
+    EXPECT_EQ(got.unpublishedTail, want.unpublishedTail);
+    EXPECT_EQ(got.notes, want.notes);
+    ASSERT_EQ(got.records.size(), want.records.size());
+    for (size_t i = 0; i < got.records.size(); ++i) {
+        EXPECT_EQ(got.records[i].seq, want.records[i].seq);
+        EXPECT_EQ(got.records[i].a0, want.records[i].a0);
+        EXPECT_EQ(got.records[i].a1, want.records[i].a1);
+    }
+}
+
+TEST_F(FlightRecorderTest, ImageDecodeReadsTheRingOnceLikePerLineReads)
+{
+    emitN(static_cast<unsigned>(kCap + 5)); // wrapped, full window
+
+    // Socket the synthetic NVRAM into a module whose last save
+    // programmed only the top of the ring: the claimed suffix starts
+    // at slot kFloorSlot, so the slots below it are unsaved.
+    constexpr uint64_t kFloorSlot = 6;
+    EventQueue queue;
+    NvdimmConfig config;
+    config.capacityBytes = 64 * kKiB;
+    config.flashChannels = 1;
+    NvdimmModule dimm(queue, "bb", config);
+    NvramSpace space;
+    space.addModule(dimm);
+    SparseMemory flash(config.capacityBytes);
+    flash.write(0, nvram_);
+    const uint64_t claimed_from = kBase + kFloorSlot * kFrRecordBytes;
+    dimm.adoptFlashImage(flash, true, 0, 0,
+                         config.capacityBytes - claimed_from);
+
+    const NvramImage clean_image = NvramImage::capture(space);
+    const FrDecodeResult clean = frDecode(
+        crashsim::imageByteReader(clean_image), headerAddr());
+    ASSERT_TRUE(clean.headerValid);
+    EXPECT_TRUE(clean.sound());
+    EXPECT_EQ(clean.unsavedSlots, kFloorSlot);
+    EXPECT_EQ(clean.records.size(), kCap - kFloorSlot);
+    expectSameDecode(clean, frDecode(perLineImageReader(clean_image),
+                                     headerAddr()));
+
+    // Plant a torn slot inside the window, above the floor and off
+    // the in-flight slot (which may legitimately be mid-overwrite).
+    uint64_t torn_slot = kFloorSlot;
+    while (torn_slot == clean.headSeq % kCap)
+        ++torn_slot;
+    uint8_t byte[1];
+    const uint64_t torn_at = kBase + torn_slot * kFrRecordBytes + 40;
+    flash.read(torn_at, byte);
+    byte[0] ^= 0x01;
+    flash.write(torn_at, byte);
+    dimm.adoptFlashImage(flash, true, 0, 0,
+                         config.capacityBytes - claimed_from);
+    const NvramImage torn_image = NvramImage::capture(space);
+    const FrDecodeResult torn = frDecode(
+        crashsim::imageByteReader(torn_image), headerAddr());
+    EXPECT_FALSE(torn.sound());
+    EXPECT_EQ(torn.tornSlots, 1u);
+    EXPECT_EQ(torn.unsavedSlots, kFloorSlot);
+    EXPECT_EQ(torn.records.size(), kCap - kFloorSlot - 1);
+    expectSameDecode(torn, frDecode(perLineImageReader(torn_image),
+                                    headerAddr()));
 }
 
 } // namespace

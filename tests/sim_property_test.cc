@@ -33,6 +33,7 @@
 
 #include "crashsim/crash_explorer.h"
 #include "sim/event_queue.h"
+#include "trace/stat_registry.h"
 #include "trace/trace.h"
 #include "util/rng.h"
 #include "util/units.h"
@@ -443,6 +444,36 @@ TEST(Determinism, PinnedScheduleCrashPointEnumerationUnchanged)
         hash *= 1099511628211ull;
     }
     EXPECT_EQ(hash, 1575034674797753573ull);
+}
+
+TEST(Determinism, IgnoredPowerFailInterruptsAreCountedPerWindow)
+{
+    // Only at the very edge of the failure does the hard loss stop the
+    // machine before the power-fail interrupt reaches it; those
+    // windows count the ignored interrupt instead of warning. The
+    // count is chassis-scoped (a boot from an image resets "core."),
+    // so each window's crashed machine is read before any reboot.
+    crashsim::CrashExplorer explorer;
+    const std::vector<Tick> windows = explorer.enumerateCrashPoints();
+    ASSERT_EQ(windows.size(), 38u);
+    const trace::Counter &ignored =
+        trace::StatRegistry::instance().counter("core.powerfail_ignored");
+    std::vector<Tick> counted;
+    for (const Tick window : windows) {
+        crashsim::CrashSchedule schedule = explorer.base();
+        schedule.window = window;
+        const uint64_t before = ignored.value();
+        WspSystem crashed(crashsim::CrashExplorer::configFor(schedule));
+        crashed.start();
+        crashed.psu().failInputAt(crashed.queue().now() +
+                                  schedule.failDelay);
+        crashed.runFor(schedule.failDelay + schedule.outage);
+        const uint64_t added = ignored.value() - before;
+        EXPECT_LE(added, 1u) << "window " << window;
+        if (added > 0)
+            counted.push_back(window);
+    }
+    EXPECT_EQ(counted, (std::vector<Tick>{0, 1, 155000}));
 }
 
 } // namespace
